@@ -5,7 +5,7 @@ import org.apache.spark.sql.SparkSession
 /** Shared SparkSession setup for the spark-submit entrypoints. */
 object JobSession {
   def create(app: String): SparkSession =
-    SparkSession.builder
+    SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(app)
       .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))

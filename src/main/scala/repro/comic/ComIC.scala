@@ -2,7 +2,7 @@ package repro.comic
 
 import java.util.SplittableRandom
 
-import repro.graph.SocialGraph
+import repro.graph.{SocialGraph, Traversal}
 import repro.items.UtilityModel
 
 /** Gaussian CDF helpers (no external math lib offline). */
@@ -67,13 +67,7 @@ object ComIC {
     val n = g.n
     val thrA = Array.fill(n)(rng.nextDouble())
     val thrB = Array.fill(n)(rng.nextDouble())
-    val edgeState = new Array[Byte](g.fwdDst.length)
-    def edgeLive(e: Int): Boolean = edgeState(e) match {
-      case 0 =>
-        val l = rng.nextDouble() < g.fwdProb(e)
-        edgeState(e) = if (l) 1 else 2; l
-      case st => st == 1
-    }
+    val coins = new Traversal.EdgeCoins(g, (e, _) => rng.nextDouble() < g.fwdProb(e))
 
     val infA = new Array[Boolean](n); val infB = new Array[Boolean](n)
     val adA = new Array[Boolean](n); val adB = new Array[Boolean](n)
@@ -90,30 +84,19 @@ object ComIC {
       changed
     }
 
-    var frontier = scala.collection.mutable.ArrayBuffer.empty[Int]
     seedsA.foreach { v => infA(v) = true }
     seedsB.foreach { v => infB(v) = true }
-    (seedsA ++ seedsB).foreach { v => if (tryAdopt(v)) frontier += v }
+    val seeds = (seedsA ++ seedsB).iterator.filter(tryAdopt).toArray
 
-    while (frontier.nonEmpty) {
-      val next = scala.collection.mutable.ArrayBuffer.empty[Int]
-      val touched = scala.collection.mutable.LinkedHashSet.empty[Int]
-      for (u <- frontier) {
-        var e = g.fwdOff(u)
-        while (e < g.fwdOff(u + 1)) {
-          if (edgeLive(e)) {
-            val v = g.fwdDst(e)
-            var inform = false
-            if (adA(u) && !infA(v)) { infA(v) = true; inform = true }
-            if (adB(u) && !infB(v)) { infB(v) = true; inform = true }
-            if (inform) touched += v
-          }
-          e += 1
-        }
+    Traversal.sweep(g, seeds) { (u, e) =>
+      coins.live(e, u) && {
+        val v = g.fwdDst(e)
+        var inform = false
+        if (adA(u) && !infA(v)) { infA(v) = true; inform = true }
+        if (adB(u) && !infB(v)) { infB(v) = true; inform = true }
+        inform
       }
-      for (v <- touched) if (tryAdopt(v)) next += v
-      frontier = next
-    }
+    }(tryAdopt)
     (adA, adB)
   }
 }

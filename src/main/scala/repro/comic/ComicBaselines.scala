@@ -5,7 +5,7 @@ import java.util.SplittableRandom
 import org.apache.spark.sql.SparkSession
 
 import repro.epic.EpicSimulator.hash01
-import repro.graph.SocialGraph
+import repro.graph.{SocialGraph, Traversal}
 import repro.im.{PRIMM, RRSampler}
 
 /** RR-SIM+ and RR-CIM baselines [Lu et al., VLDB'15], reimplemented on the
@@ -69,38 +69,19 @@ object ComicBaselines {
     * fails the predicate.
     */
   private[comic] def reverseAdoptingSet(g: SocialGraph, w: Long, root: Int,
-                                        adopts: Int => Boolean): Array[Int] = {
-    if (!adopts(root)) return Array.empty
-    val visited = new java.util.HashSet[Int]()
-    val queue = new java.util.ArrayDeque[Int]()
-    visited.add(root); queue.add(root)
-    val out = scala.collection.mutable.ArrayBuffer[Int](root)
-    while (!queue.isEmpty) {
-      val v = queue.poll()
-      var e = g.revOff(v)
-      while (e < g.revOff(v + 1)) {
-        val u = g.revSrc(e)
-        if (!visited.contains(u)
-            && hash01(w, SaltEdge, u.toLong * g.n + v) < g.revProb(e)
-            && adopts(u)) {
-          visited.add(u); queue.add(u); out += u
-        }
-        e += 1
-      }
+                                        adopts: Int => Boolean): Array[Int] =
+    if (!adopts(root)) Array.empty
+    else Traversal.reverseReach(g, root) { (e, v) =>
+      val u = g.revSrc(e)
+      hash01(w, SaltEdge, u.toLong * g.n + v) < g.revProb(e) && adopts(u)
     }
-    out.toArray
-  }
 
   /** RR sampler for item A given fixed seeds of the complement B:
     * forward-simulate B's adopters in the world, then reverse-collect the
     * nodes from which a seeded A would reach (and be adopted by) the root.
     */
   final class RRSimSampler(g: SocialGraph, seedsB: Array[Int], gap: Gap) extends RRSampler {
-    private val isSeedB = {
-      val a = new Array[Boolean](g.n)
-      seedsB.foreach(a(_) = true)
-      a
-    }
+    private val isSeedB = Array.tabulate(g.n)(seedsB.toSet)
     def sample(rng: SplittableRandom): Array[Int] = {
       val w = rng.nextLong()
       val root = rng.nextInt(g.n)

@@ -1,13 +1,9 @@
 package repro.core
 
-import repro.items.Itemsets
-
 /** A seed allocation `S ⊆ V × I` (§3.2), stored as node -> itemset mask. */
 object Allocation {
 
   type Alloc = Map[Int, Int]
-
-  val empty: Alloc = Map.empty
 
   /** Build an allocation from per-item seed lists.
     *
@@ -27,7 +23,4 @@ object Allocation {
   /** Check the budget constraint `|S_i| <= b_i` for every item. */
   def respectsBudgets(alloc: Alloc, budgets: Array[Int]): Boolean =
     budgets.indices.forall(i => seedsOfItem(alloc, i).size <= budgets(i))
-
-  def describe(alloc: Alloc): String =
-    alloc.toSeq.sortBy(_._1).map { case (v, m) => s"$v->${Itemsets.show(m)}" }.mkString(", ")
 }

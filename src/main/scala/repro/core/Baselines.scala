@@ -11,18 +11,18 @@ object Baselines {
 
   /** item-disj: one IMM call with budget `sum(b_i)`; visit items in
     * non-increasing budget order, give item `i` the next `b_i` unused
-    * nodes of the ordering.
+    * nodes of the ordering. Requires `sum(b_i) <= n`.
     */
   def itemDisj(spark: SparkSession, g: SocialGraph, budgets: Array[Int],
                eps: Double = 0.5, ell: Double = 1.0, seed: Long = 7): Allocation.Alloc = {
     val total = budgets.sum
-    val order = PRIMM.imm(spark, g, math.min(total, g.n), eps, ell, seed).seeds
+    require(total <= g.n, s"item-disj needs sum of budgets ($total) <= node count (${g.n})")
+    val order = PRIMM.imm(spark, g, total, eps, ell, seed).seeds
     val perItem = Array.fill(budgets.length)(Array.empty[Int])
     var pos = 0
     for (i <- Blocks.itemOrder(budgets)) {
-      val take = math.min(budgets(i), math.max(0, order.length - pos))
-      perItem(i) = order.slice(pos, pos + take)
-      pos += take
+      perItem(i) = order.slice(pos, pos + budgets(i))
+      pos += budgets(i)
     }
     Allocation.fromItemSeeds(perItem.toSeq)
   }

@@ -2,7 +2,7 @@ package repro.epic
 
 import java.util.SplittableRandom
 
-import repro.graph.SocialGraph
+import repro.graph.{SocialGraph, Traversal}
 import repro.items.Adoption
 
 /** Deterministic EPIC diffusion in one possible world (Fig. 2 / §4.1).
@@ -47,60 +47,27 @@ object EpicSimulator {
 
   private def run(g: SocialGraph, alloc: Map[Int, Int], util: Array[Double],
                   testEdge: (Int, Int) => Boolean): Array[Int] = {
-    val n = g.n
-    val desire = new Array[Int](n)
-    val adoption = new Array[Int](n)
-    val edgeState = new Array[Byte](g.fwdDst.length) // 0 untested, 1 live, 2 blocked
+    val desire = new Array[Int](g.n)
+    val adoption = new Array[Int](g.n)
+    val coins = new Traversal.EdgeCoins(g, testEdge)
 
-    var frontier = new scala.collection.mutable.ArrayBuffer[Int]()
     // t = 1: seeds desire their allocation and adopt the best subset.
+    val seeds = Array.newBuilder[Int]
     for ((v, mask) <- alloc if mask != 0) {
       desire(v) |= mask
       val a = Adoption.adoptSeed(util, desire(v))
-      if (a != adoption(v)) { adoption(v) = a; frontier += v }
+      if (a != adoption(v)) { adoption(v) = a; seeds += v }
     }
 
-    val touched = new scala.collection.mutable.ArrayBuffer[Int]()
-    val inTouched = new Array[Boolean](n)
-
-    while (frontier.nonEmpty) {
-      touched.clear()
-      var fi = 0
-      while (fi < frontier.length) {
-        val u = frontier(fi)
+    Traversal.sweep(g, seeds.result()) { (u, e) =>
+      coins.live(e, u) && {
+        val v = g.fwdDst(e)
         val aU = adoption(u)
-        var e = g.fwdOff(u)
-        val end = g.fwdOff(u + 1)
-        while (e < end) {
-          var live = false
-          edgeState(e) match {
-            case 0 =>
-              live = testEdge(e, u)
-              edgeState(e) = if (live) 1 else 2
-            case 1 => live = true
-            case _ => ()
-          }
-          if (live) {
-            val v = g.fwdDst(e)
-            if ((aU & ~desire(v)) != 0) {
-              desire(v) |= aU
-              if (!inTouched(v)) { inTouched(v) = true; touched += v }
-            }
-          }
-          e += 1
-        }
-        fi += 1
+        (aU & ~desire(v)) != 0 && { desire(v) |= aU; true }
       }
-      val next = new scala.collection.mutable.ArrayBuffer[Int]()
-      var ti = 0
-      while (ti < touched.length) {
-        val v = touched(ti)
-        inTouched(v) = false
-        val a = Adoption.adopt(util, desire(v), adoption(v))
-        if (a != adoption(v)) { adoption(v) = a; next += v }
-        ti += 1
-      }
-      frontier = next
+    } { v =>
+      val a = Adoption.adopt(util, desire(v), adoption(v))
+      a != adoption(v) && { adoption(v) = a; true }
     }
     adoption
   }

@@ -2,9 +2,10 @@ package repro.epic
 
 import java.util.SplittableRandom
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.SparkSession
 
 import repro.graph.SocialGraph
+import repro.im.RRSets
 import repro.items.UtilityModel
 
 /** Monte-Carlo estimate of expected social welfare `rho(S)` and expected
@@ -24,12 +25,6 @@ object Welfare {
     def adoptions: Double = perRunAdoptions.map(_.toDouble).sum / runs
   }
 
-  private def mix(seed: Long, r: Long): Long = {
-    var z = seed + r * 0x9E3779B97F4A7C15L
-    z = (z ^ (z >>> 30)) * 0xBF58476D1CE4E5B9L
-    (z ^ (z >>> 31))
-  }
-
   def estimate(spark: SparkSession, g: SocialGraph, alloc: Map[Int, Int],
                model: UtilityModel, runs: Int, seed: Long = 42): Estimate = {
     val sc = spark.sparkContext
@@ -39,7 +34,7 @@ object Welfare {
     val rows = sc
       .parallelize(0 until runs, math.min(runs, sc.defaultParallelism * 2))
       .map { r =>
-        val rng = new SplittableRandom(mix(seed, r.toLong))
+        val rng = new SplittableRandom(RRSets.mix(seed, r.toLong))
         val util = bModel.value.sampleUtilityTable(rng)
         val adoption = EpicSimulator.diffuse(bG.value, bAlloc.value, util, rng)
         (EpicSimulator.welfare(util, adoption), EpicSimulator.adoptionCount(adoption))
@@ -47,18 +42,5 @@ object Welfare {
       .collect()
     bG.destroy(); bAlloc.destroy(); bModel.destroy()
     Estimate(rows.map(_._1), rows.map(_._2))
-  }
-
-  /** Per-run results as a DataFrame `(run, welfare, adoptions)` so the
-    * aggregation can be oracle-checked against DuckDB in tests.
-    */
-  def estimateDF(spark: SparkSession, g: SocialGraph, alloc: Map[Int, Int],
-                 model: UtilityModel, runs: Int, seed: Long = 42): DataFrame = {
-    import spark.implicits._
-    val est = estimate(spark, g, alloc, model, runs, seed)
-    est.perRunWelfare.zip(est.perRunAdoptions).zipWithIndex
-      .map { case ((w, a), r) => (r, w, a) }
-      .toSeq
-      .toDF("run", "welfare", "adoptions")
   }
 }

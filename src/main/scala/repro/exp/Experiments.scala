@@ -125,22 +125,17 @@ object Experiments {
   // Cached networks (generation is deterministic but not free).
   // -------------------------------------------------------------------
 
-  @volatile private var netCache = Map.empty[String, SocialGraph]
+  private val netCache = scala.collection.mutable.Map.empty[String, SocialGraph]
 
-  def network(name: String): SocialGraph = {
-    netCache.get(name) match {
-      case Some(g) => g
-      case None =>
-        val g = name match {
-          case "Flixster" => GraphGen.flixsterLite()
-          case "Douban-Book" => GraphGen.doubanBookLite()
-          case "Douban-Movie" => GraphGen.doubanMovieLite()
-          case "Twitter" => GraphGen.twitterLite()
-          case other => sys.error(s"unknown network $other")
-        }
-        synchronized { netCache += name -> g }
-        g
-    }
+  /** The named stand-in network, built once even under concurrent callers. */
+  def network(name: String): SocialGraph = netCache.synchronized {
+    netCache.getOrElseUpdate(name, name match {
+      case "Flixster" => GraphGen.flixsterLite()
+      case "Douban-Book" => GraphGen.doubanBookLite()
+      case "Douban-Movie" => GraphGen.doubanMovieLite()
+      case "Twitter" => GraphGen.twitterLite()
+      case other => sys.error(s"unknown network $other")
+    })
   }
 
   val networkNames: Seq[String] = Seq("Flixster", "Douban-Book", "Douban-Movie", "Twitter")

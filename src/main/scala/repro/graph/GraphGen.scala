@@ -2,8 +2,6 @@ package repro.graph
 
 import java.util.SplittableRandom
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-
 /** Deterministic synthetic social-network generators.
   *
   * The paper evaluates on Flixster, Douban-Book, Douban-Movie and Twitter
@@ -130,30 +128,4 @@ object GraphGen {
 
   def twitterLite(seed: Long = 104): SocialGraph =
     powerLawDirected("Twitter", 50000, 3500000, seed = seed)
-
-  /** All four Table-2 stand-ins, in the paper's order. */
-  def table2Networks(seed: Long = 100): Seq[SocialGraph] =
-    Seq(flixsterLite(seed + 1), doubanBookLite(seed + 2), doubanMovieLite(seed + 3), twitterLite(seed + 4))
-
-  /** Spark-side edge generation (distributed-dataflow form of the same
-    * generator) — used by jobs that want the edge list as a DataFrame
-    * without materialising it on the driver first.
-    */
-  def powerLawEdgesDF(spark: SparkSession, n: Int, targetEdges: Int,
-                      alpha: Double = 0.8, seed: Long = 7): DataFrame = {
-    import spark.implicits._
-    val cum = cumWeights(n, alpha)
-    val bCum = spark.sparkContext.broadcast(cum)
-    spark.range(targetEdges.toLong * 12 / 10)
-      .mapPartitions { it =>
-        it.map { i =>
-          val rng = new SplittableRandom(seed * 1000003L + i)
-          (draw(bCum.value, rng), draw(bCum.value, rng))
-        }
-      }
-      .toDF("src", "dst")
-      .where($"src" =!= $"dst")
-      .dropDuplicates("src", "dst")
-      .limit(targetEdges)
-  }
 }

@@ -46,13 +46,10 @@ final case class SocialGraph(
   /** In-degree of node `v`. */
   def inDeg(v: Int): Int = revOff(v + 1) - revOff(v)
 
-  /** Average degree as reported in Table 2 (edges per node; an undirected
-    * edge counts once, mirroring the paper's statistics).
+  /** Average degree as reported in Table 2: stored arcs per node, so an
+    * undirected edge (stored both ways) adds to both endpoints' degrees.
     */
-  def avgDegree: Double = {
-    val e = if (undirected) m / 2.0 else m.toDouble
-    e / n * (if (undirected) 2.0 else 1.0)
-  }
+  def avgDegree: Double = m.toDouble / n
 
   /** Edges as a DataFrame `(src, dst, p)` — the dataflow-facing view. */
   def edgesDF(spark: SparkSession): DataFrame = {
@@ -72,7 +69,7 @@ final case class SocialGraph(
       lit(name) as "network",
       lit(n) as "nodes",
       edgeCount as "edges",
-      round(count(lit(1)) / lit(if (undirected) n.toDouble else n.toDouble), 2) as "avg_degree",
+      round(count(lit(1)) / lit(n.toDouble), 2) as "avg_degree",
       lit(if (undirected) "undirected" else "directed") as "type",
     )
   }
@@ -121,14 +118,5 @@ object SocialGraph {
       revSrc(rCur(v)) = u; revProb(rCur(v)) = p; rCur(v) += 1
     }
     SocialGraph(name, n, fwdOff, fwdDst, fwdProb, revOff, revSrc, revProb, undirected)
-  }
-
-  /** Build from a DataFrame of `(src, dst)` edges (weighted cascade). */
-  def fromDF(name: String, n: Int, edges: DataFrame, undirected: Boolean = false): SocialGraph = {
-    val arr = edges
-      .select(col("src").cast("int"), col("dst").cast("int"))
-      .collect()
-      .map(r => (r.getInt(0), r.getInt(1)))
-    fromEdges(name, n, arr, undirected)
   }
 }

@@ -75,38 +75,32 @@ object PRIMM {
 
     var s = 0 // 0-based index into budgets
     var i = 1
-    var lastLB = 1.0
     var lastSelection: MaxCover.CoverResult = null
     var budgetSwitch = false
     val maxI = (math.log(n.toDouble) / math.log(2)).toInt - 1
 
     while (i <= maxI && s < budgets.length) {
       val k = budgets(s)
-      var LB = 1.0
       val x = n.toDouble / math.pow(2, i)
       generateUntil(lambdaPrime(k) / x)
 
-      val (seedsK, covK) =
-        if (budgetSwitch && lastSelection != null && lastSelection.seeds.length >= k) {
-          val prefix = lastSelection.seeds.take(k)
-          (prefix, MaxCover.coverage(rr, prefix))
-        } else {
+      val covK =
+        if (budgetSwitch && lastSelection != null && lastSelection.seeds.length >= k)
+          MaxCover.coverage(rr, lastSelection.seeds.take(k))
+        else {
           lastSelection = MaxCover.nodeSelection(rr, k, n, forbidden)
-          (lastSelection.seeds, lastSelection.covered(k))
+          lastSelection.covered(k)
         }
       val frac = covK.toDouble / rr.length
       if (n * frac >= (1 + epsP) * x) {
-        LB = n * frac / (1 + epsP)
-        generateUntil(lambdaStar(k) / LB)
-        lastLB = LB
+        val lb = n * frac / (1 + epsP)
+        generateUntil(lambdaStar(k) / lb)
         s += 1
         budgetSwitch = true
       } else {
         i += 1
         budgetSwitch = false
       }
-      // silence "unused" warnings while staying close to the pseudocode
-      locally(seedsK); locally(LB)
     }
 
     if (s < budgets.length) {
@@ -114,7 +108,6 @@ object PRIMM {
       // budget; lambda* is monotone in k so later budgets are subsumed.
       generateUntil(lambdaStar(budgets(s)) / 1.0)
     }
-    locally(lastLB)
 
     val fin = MaxCover.nodeSelection(rr, bMax, n, forbidden)
     val sigmaHat = fin.coveredAfter.map(c => n.toDouble * c / rr.length)

@@ -4,7 +4,7 @@ import java.util.SplittableRandom
 
 import org.apache.spark.sql.SparkSession
 
-import repro.graph.SocialGraph
+import repro.graph.{SocialGraph, Traversal}
 
 /** A reverse-reachable set sampler. Implementations: plain IC (weighted
   * cascade) for IMM/PRIMM, and the Com-IC flavoured samplers used by the
@@ -22,27 +22,8 @@ trait RRSampler extends Serializable {
   * probability `p(u,w)`.
   */
 final class ICRRSampler(g: SocialGraph) extends RRSampler {
-  def sample(rng: SplittableRandom): Array[Int] = {
-    val root = rng.nextInt(g.n)
-    val visited = new java.util.HashSet[Int]()
-    val queue = new java.util.ArrayDeque[Int]()
-    visited.add(root); queue.add(root)
-    val out = new scala.collection.mutable.ArrayBuffer[Int]()
-    out += root
-    while (!queue.isEmpty) {
-      val w = queue.poll()
-      var e = g.revOff(w)
-      val end = g.revOff(w + 1)
-      while (e < end) {
-        val u = g.revSrc(e)
-        if (!visited.contains(u) && rng.nextDouble() < g.revProb(e)) {
-          visited.add(u); queue.add(u); out += u
-        }
-        e += 1
-      }
-    }
-    out.toArray
-  }
+  def sample(rng: SplittableRandom): Array[Int] =
+    Traversal.reverseReach(g, rng.nextInt(g.n))((e, _) => rng.nextDouble() < g.revProb(e))
 }
 
 /** Spark-parallel batch generation of RR sets with per-sample seeds. */

@@ -159,6 +159,7 @@ object NoiseSpec {
 final case class UtilityModel(valuation: Valuation, prices: Array[Double], noise: NoiseSpec)
     extends Serializable {
   require(prices.length == valuation.k && noise.k == valuation.k)
+  require(valuation.k <= 20, s"at most 20 items are supported (utility tables have 2^k entries), got ${valuation.k}")
   def k: Int = valuation.k
 
   /** Utility table for a given noise world: `U(mask)` for every mask. */

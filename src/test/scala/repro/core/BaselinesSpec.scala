@@ -92,4 +92,9 @@ class BaselinesSpec extends AnyFunSuite with SparkSpec {
     val alloc = Baselines.itemDisj(spark, g, budgets, seed = 9)
     assert(Allocation.respectsBudgets(alloc, budgets))
   }
+
+  test("item-disj rejects budgets summing past the node count") {
+    val small = GraphGen.uniformDirected("s", 10, 30, seed = 3)
+    intercept[IllegalArgumentException](Baselines.itemDisj(spark, small, Array(6, 5)))
+  }
 }

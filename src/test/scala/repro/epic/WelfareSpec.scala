@@ -50,7 +50,12 @@ class WelfareSpec extends AnyFunSuite with SparkSpec {
   }
 
   test("Oracle: per-run welfare aggregation matches DuckDB") {
-    val df = Welfare.estimateDF(spark, g, greedyAlloc, model, runs = 10, seed = 4)
+    import spark.implicits._
+    val est = Welfare.estimate(spark, g, greedyAlloc, model, runs = 10, seed = 4)
+    val df = est.perRunWelfare.zip(est.perRunAdoptions).zipWithIndex
+      .map { case ((w, a), r) => (r, w, a) }
+      .toSeq
+      .toDF("run", "welfare", "adoptions")
     val agg = df.agg(
       round(avg(col("welfare")), 4) as "avg_welfare",
       round(avg(col("adoptions")), 4) as "avg_adoptions",

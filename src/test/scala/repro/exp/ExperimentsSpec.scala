@@ -4,7 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 
 import repro.SparkSpec
 import repro.core.Configs
-import repro.graph.GraphGen
+import repro.graph.{GraphGen, SocialGraph}
 
 class ExperimentsSpec extends AnyFunSuite with SparkSpec {
 
@@ -75,6 +75,21 @@ class ExperimentsSpec extends AnyFunSuite with SparkSpec {
 
   test("printTable renders without error") {
     Experiments.printTable("smoke", Seq("a", "b"), Seq(Seq(1, 2.5), Seq("x", 3.0)))
+  }
+
+  test("concurrent first requests for a network share one build") {
+    val start = new java.util.concurrent.CountDownLatch(1)
+    val pool = java.util.concurrent.Executors.newFixedThreadPool(4)
+    try {
+      val futures = (0 until 4).map { _ =>
+        pool.submit(new java.util.concurrent.Callable[SocialGraph] {
+          def call(): SocialGraph = { start.await(); Experiments.network("Flixster") }
+        })
+      }
+      start.countDown()
+      val graphs = futures.map(_.get())
+      assert(graphs.forall(_ eq graphs.head))
+    } finally pool.shutdown()
   }
 
   test("network cache returns the same instance") {

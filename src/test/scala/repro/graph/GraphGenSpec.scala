@@ -60,11 +60,4 @@ class GraphGenSpec extends AnyFunSuite with SparkSpec {
     assert(g.n == 23300 && g.m == 141000 && !g.undirected)
     assert(math.abs(g.avgDegree - 6.5) < 0.5)
   }
-
-  test("Spark-side edge generator yields a usable edge DataFrame") {
-    val df = GraphGen.powerLawEdgesDF(spark, n = 500, targetEdges = 2000, seed = 6)
-    val rows = df.collect()
-    assert(rows.length == 2000)
-    assert(rows.forall(r => r.getInt(0) != r.getInt(1)))
-  }
 }

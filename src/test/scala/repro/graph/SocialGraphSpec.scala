@@ -39,12 +39,11 @@ class SocialGraphSpec extends AnyFunSuite with SparkSpec {
     assert(g2.revProb.toSeq.sorted == Seq(0.25, 0.75))
   }
 
-  test("edgesDF round-trips through fromDF") {
-    val df = g.edgesDF(spark)
-    val g2 = SocialGraph.fromDF("toy2", 4, df)
-    assert(g2.m == g.m)
-    assert(g2.fwdOff.toSeq == g.fwdOff.toSeq)
-    assert(g2.fwdDst.sorted.toSeq == g.fwdDst.sorted.toSeq)
+  test("edgesDF rows are the CSR edges with their probabilities") {
+    val rows = g.edgesDF(spark).collect().map(r => (r.getInt(0), r.getInt(1), r.getDouble(2)))
+    val csr = for (u <- 0 until g.n; e <- g.fwdOff(u) until g.fwdOff(u + 1))
+      yield (u, g.fwdDst(e), g.fwdProb(e))
+    assert(rows.toSeq.sorted == csr.sorted)
   }
 
   test("out-of-range edges rejected") {

@@ -14,6 +14,12 @@ class UtilityModelSpec extends AnyFunSuite with PropHelpers {
     NoiseSpec(Array(1.0, 1.0)),
   )
 
+  test("more than 20 items is rejected") {
+    intercept[IllegalArgumentException] {
+      UtilityModel(AdditiveValuation(Array.fill(21)(1.0)), Array.fill(21)(1.0), NoiseSpec.none(21))
+    }
+  }
+
   test("deterministic utility = V - P (Table 3 Config 1 values)") {
     val det = model.deterministicUtility
     assert(math.abs(det(0)) < 1e-12)
