@@ -31,16 +31,17 @@ object Welfare {
     val bG = sc.broadcast(g)
     val bAlloc = sc.broadcast(alloc)
     val bModel = sc.broadcast(model)
-    val rows = sc
-      .parallelize(0 until runs, math.min(runs, sc.defaultParallelism * 2))
-      .map { r =>
-        val rng = new SplittableRandom(RRSets.mix(seed, r.toLong))
-        val util = bModel.value.sampleUtilityTable(rng)
-        val adoption = EpicSimulator.diffuse(bG.value, bAlloc.value, util, rng)
-        (EpicSimulator.welfare(util, adoption), EpicSimulator.adoptionCount(adoption))
-      }
-      .collect()
-    bG.destroy(); bAlloc.destroy(); bModel.destroy()
+    val rows =
+      try sc
+        .parallelize(0 until runs, math.min(runs, sc.defaultParallelism * 2))
+        .map { r =>
+          val rng = new SplittableRandom(RRSets.mix(seed, r.toLong))
+          val util = bModel.value.sampleUtilityTable(rng)
+          val adoption = EpicSimulator.diffuse(bG.value, bAlloc.value, util, rng)
+          (EpicSimulator.welfare(util, adoption), EpicSimulator.adoptionCount(adoption))
+        }
+        .collect()
+      finally { bG.destroy(); bAlloc.destroy(); bModel.destroy() }
     Estimate(rows.map(_._1), rows.map(_._2))
   }
 }

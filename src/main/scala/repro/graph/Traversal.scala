@@ -10,53 +10,60 @@ import scala.collection.mutable.ArrayBuilder
   */
 object Traversal {
 
-  /** Insertion-ordered set of node ids: `order(0 until size)` lists the
-    * members, an open-addressing table (at most half full) finds them.
+  /** Per-thread working memory of [[reverseReach]]: one visited flag per
+    * node (all false between calls; grown when a larger graph comes) and
+    * the BFS queue (grown on demand).
     */
-  private final class NodeSet {
-    var order = new Array[Int](16)
-    var size = 0
-    private var slots = Array.fill(64)(-1)
-    private def slot(x: Int): Int = {
-      val mask = slots.length - 1
-      var i = Integer.rotateLeft(x * 0x9E3779B9, 16) & mask
-      while (slots(i) != -1 && slots(i) != x) i = (i + 1) & mask
-      i
-    }
-    def contains(x: Int): Boolean = slots(slot(x)) == x
-    /** Adds `x`, which must not be a member. */
-    def add(x: Int): Unit = {
-      if (2 * (size + 1) > slots.length) {
-        slots = Array.fill(slots.length * 2)(-1)
-        (0 until size).foreach(i => slots(slot(order(i))) = order(i))
-      }
-      slots(slot(x)) = x
-      if (size == order.length) order = java.util.Arrays.copyOf(order, size * 2)
-      order(size) = x; size += 1
-    }
+  private final class Scratch {
+    var seen = new Array[Boolean](0)
+    var queue = new Array[Int](64)
+    var busy = false
   }
+  private val scratch = ThreadLocal.withInitial[Scratch](() => new Scratch)
 
   /** Nodes that reach `root` over live reverse edges, in BFS order with
     * `root` first. Expanding node `w`, the in-edges `e` of `w` are scanned
     * in reverse-CSR order; `live(e, w)` is asked only for an edge whose
     * tail `g.revSrc(e)` is not yet visited, and a live edge adds that tail.
+    *
+    * The traversal runs in per-thread scratch arrays, cleared through the
+    * returned members, so concurrent calls on different threads are
+    * independent. `live` must not call `reverseReach` itself: a nested call
+    * on the same thread throws.
     */
   def reverseReach(g: SocialGraph, root: Int)(live: (Int, Int) => Boolean): Array[Int] = {
-    val visited = new NodeSet
-    visited.add(root)
-    var head = 0
-    while (head < visited.size) {
-      val w = visited.order(head)
-      var e = g.revOff(w)
-      val end = g.revOff(w + 1)
-      while (e < end) {
-        val u = g.revSrc(e)
-        if (!visited.contains(u) && live(e, w)) visited.add(u)
-        e += 1
+    val s = scratch.get
+    require(!s.busy, "reverseReach re-entered from its live callback")
+    if (s.seen.length < g.n) s.seen = new Array[Boolean](g.n)
+    val seen = s.seen
+    var queue = s.queue
+    queue(0) = root
+    seen(root) = true
+    s.busy = true
+    var size = 1
+    try {
+      var head = 0
+      while (head < size) {
+        val w = queue(head)
+        var e = g.revOff(w)
+        val end = g.revOff(w + 1)
+        while (e < end) {
+          val u = g.revSrc(e)
+          if (!seen(u) && live(e, w)) {
+            if (size == queue.length) { queue = java.util.Arrays.copyOf(queue, size * 2); s.queue = queue }
+            queue(size) = u; size += 1
+            seen(u) = true
+          }
+          e += 1
+        }
+        head += 1
       }
-      head += 1
+      java.util.Arrays.copyOf(queue, size)
+    } finally {
+      var i = 0
+      while (i < size) { seen(queue(i)) = false; i += 1 }
+      s.busy = false
     }
-    java.util.Arrays.copyOf(visited.order, visited.size)
   }
 
   /** Round-based forward propagation from `frontier`. Each round, every

@@ -16,55 +16,66 @@ object MaxCover {
       if (prefix <= 0) 0 else coveredAfter(math.min(prefix, seeds.length) - 1)
   }
 
-  /** Select up to `k` seeds greedily.
+  /** Select up to `k` seeds greedily: each pick is the selectable node
+    * covering the most uncovered RR sets, ties to the smaller id.
+    *
+    * Candidates sit in a max-heap keyed by (gain, -id) whose keys may be
+    * stale. A gain only ever decreases, so a top whose key is its current
+    * gain is the scan's argmax; a stale top is re-keyed and sifted down.
     *
     * @param forbidden nodes that may appear in RR sets but must never be
-    *                  selected (bundle-disj "fresh seeds" support)
+    *                  selected (bundle-disj "fresh seeds" support); ids
+    *                  outside `[0, n)` are ignored
     */
   def nodeSelection(rr: collection.IndexedSeq[Array[Int]], k: Int, n: Int,
                     forbidden: Set[Int] = Set.empty): CoverResult = {
-    val counts = new Array[Int](n)
-    // inverted index: node -> ids of RR sets containing it
+    // inverted index: node -> ids of RR sets containing it; gain = count
     val idxOff = new Array[Int](n + 1)
-    rr.foreach(_.foreach(u => counts(u) += 1))
-    var i = 0
-    while (i < n) { idxOff(i + 1) = idxOff(i) + counts(i); i += 1 }
-    val idx = new Array[Int](idxOff(n))
-    val cur = java.util.Arrays.copyOf(idxOff, n)
     var s = 0
     while (s < rr.length) {
-      rr(s).foreach { u => idx(cur(u)) = s; cur(u) += 1 }
+      val set = rr(s)
+      var j = 0
+      while (j < set.length) { idxOff(set(j) + 1) += 1; j += 1 }
       s += 1
     }
+    val gain = new Array[Int](n)
+    var u = 0
+    while (u < n) { gain(u) = idxOff(u + 1); idxOff(u + 1) += idxOff(u); u += 1 }
+    val idx = new Array[Int](idxOff(n))
+    val cur = java.util.Arrays.copyOf(idxOff, n)
+    s = 0
+    while (s < rr.length) {
+      val set = rr(s)
+      var j = 0
+      while (j < set.length) { val v = set(j); idx(cur(v)) = s; cur(v) += 1; j += 1 }
+      s += 1
+    }
+    forbidden.foreach(f => if (f >= 0 && f < n) gain(f) = -1)
 
-    val gain = counts.clone()
-    forbidden.foreach(u => if (u < n) gain(u) = -1)
+    val heap = new GainHeap(gain)
+
     val coveredSet = new Array[Boolean](rr.length)
-    val seeds = new scala.collection.mutable.ArrayBuffer[Int](k)
-    val coveredAfter = new scala.collection.mutable.ArrayBuffer[Int](k)
+    val seeds = new scala.collection.mutable.ArrayBuilder.ofInt
+    val coveredAfter = new scala.collection.mutable.ArrayBuilder.ofInt
     var coveredCount = 0
-
     var pick = 0
-    while (pick < k && pick < n) {
-      var best = -1; var bestGain = -1
-      var u = 0
-      while (u < n) {
-        if (gain(u) > bestGain) { bestGain = gain(u); best = u }
-        u += 1
-      }
-      if (best < 0 || bestGain < 0) {
-        // nothing selectable (all forbidden) — stop early
-        pick = k
-      } else {
+    while (pick < k && heap.nonEmpty) {
+      val best = heap.topNode
+      if (heap.topGain != gain(best)) heap.rekeyTop(gain(best))
+      else {
+        heap.pop()
         seeds += best
         // cover best's RR sets and decrement other members' gains
         var e = idxOff(best)
-        while (e < idxOff(best + 1)) {
+        val end = idxOff(best + 1)
+        while (e < end) {
           val sid = idx(e)
           if (!coveredSet(sid)) {
             coveredSet(sid) = true
             coveredCount += 1
-            rr(sid).foreach { w => if (gain(w) > 0) gain(w) -= 1 }
+            val set = rr(sid)
+            var j = 0
+            while (j < set.length) { val w = set(j); if (gain(w) > 0) gain(w) -= 1; j += 1 }
           }
           e += 1
         }
@@ -73,12 +84,56 @@ object MaxCover {
         pick += 1
       }
     }
-    CoverResult(seeds.toArray, coveredAfter.toArray)
+    CoverResult(seeds.result(), coveredAfter.result())
+  }
+
+  /** Binary max-heap of (gain, node) packed into longs: gain in the high
+    * word, the node's complement in the low word, so larger gains and then
+    * smaller ids come first. Holds every node whose initial gain is >= 0.
+    */
+  private final class GainHeap(initial: Array[Int]) {
+    private def key(gain: Int, node: Int): Long = (gain.toLong << 32) | (~node & 0xFFFFFFFFL)
+    private val keys = new Array[Long](initial.length)
+    private var size = 0
+    initial.indices.foreach(u => if (initial(u) >= 0) { keys(size) = key(initial(u), u); size += 1 })
+    (size / 2 - 1 to 0 by -1).foreach(siftDown)
+
+    def nonEmpty: Boolean = size > 0
+    def topGain: Int = (keys(0) >>> 32).toInt
+    def topNode: Int = ~keys(0).toInt
+    def rekeyTop(gain: Int): Unit = { keys(0) = key(gain, topNode); siftDown(0) }
+    def pop(): Unit = { size -= 1; keys(0) = keys(size); siftDown(0) }
+
+    private def siftDown(from: Int): Unit = {
+      val x = keys(from)
+      var i = from
+      var done = false
+      while (!done) {
+        var c = 2 * i + 1
+        if (c >= size) done = true
+        else {
+          if (c + 1 < size && keys(c + 1) > keys(c)) c += 1
+          if (keys(c) <= x) done = true
+          else { keys(i) = keys(c); i = c }
+        }
+      }
+      keys(i) = x
+    }
   }
 
   /** Number of RR sets hit by `seeds` (for `F_R(S) = covered / |R|`). */
   def coverage(rr: collection.IndexedSeq[Array[Int]], seeds: Array[Int]): Int = {
-    val s = seeds.toSet
-    rr.count(_.exists(s.contains))
+    val isSeed = new java.util.BitSet
+    seeds.foreach(isSeed.set)
+    var count = 0
+    var s = 0
+    while (s < rr.length) {
+      val set = rr(s)
+      var j = 0
+      while (j < set.length && !isSeed.get(set(j))) j += 1
+      if (j < set.length) count += 1
+      s += 1
+    }
+    count
   }
 }

@@ -37,7 +37,8 @@ object PRIMM {
     * @param budgets  item budgets, MUST be sorted non-increasingly
     * @param eps      approximation slack (paper default 0.5)
     * @param ell      confidence exponent (paper default 1)
-    * @param forbidden nodes excluded from selection (baseline support)
+    * @param forbidden nodes excluded from selection (baseline support);
+    *                  at least `budgets.head` nodes must remain selectable
     */
   def run(spark: SparkSession, g: SocialGraph, budgets: Seq[Int],
           eps: Double = 0.5, ell: Double = 1.0, seed: Long = 7,
@@ -49,8 +50,9 @@ object PRIMM {
       "budgets must be sorted non-increasingly")
     val n = g.n
     val bMax = budgets.head
-    require(bMax <= n, s"budget $bMax exceeds node count $n")
-    val rrSampler = sampler.getOrElse(new ICRRSampler(g))
+    val selectable = n - forbidden.count(u => u >= 0 && u < n)
+    require(bMax <= selectable,
+      s"budget $bMax exceeds the $selectable selectable nodes ($n nodes, ${n - selectable} forbidden)")
 
     val lnN = math.log(n.toDouble)
     // line 2: ell <- ell + log 2 / log n ; line 3: ell' = log_n(n^ell * |b|)
@@ -66,52 +68,64 @@ object PRIMM {
     def lambdaPrime(k: Int): Double =
       (2 + 2 * epsP / 3) * (logBinom(n, k) + ellP * lnN + math.log(math.log(n.toDouble) / math.log(2))) * n / (epsP * epsP)
 
-    val rr = new scala.collection.mutable.ArrayBuffer[Array[Int]]()
-    def generateUntil(target: Double): Unit = {
-      val capped = math.min(target, maxRR.toDouble)
-      val need = math.ceil(capped).toLong - rr.length
-      if (need > 0) rr ++= RRSets.generate(spark, rrSampler, need, seed, offset = rr.length.toLong)
-    }
-
-    var s = 0 // 0-based index into budgets
-    var i = 1
-    var lastSelection: MaxCover.CoverResult = null
-    var budgetSwitch = false
-    val maxI = (math.log(n.toDouble) / math.log(2)).toInt - 1
-
-    while (i <= maxI && s < budgets.length) {
-      val k = budgets(s)
-      val x = n.toDouble / math.pow(2, i)
-      generateUntil(lambdaPrime(k) / x)
-
-      val covK =
-        if (budgetSwitch && lastSelection != null && lastSelection.seeds.length >= k)
-          MaxCover.coverage(rr, lastSelection.seeds.take(k))
-        else {
-          lastSelection = MaxCover.nodeSelection(rr, k, n, forbidden)
-          lastSelection.covered(k)
-        }
-      val frac = covK.toDouble / rr.length
-      if (n * frac >= (1 + epsP) * x) {
-        val lb = n * frac / (1 + epsP)
-        generateUntil(lambdaStar(k) / lb)
-        s += 1
-        budgetSwitch = true
-      } else {
-        i += 1
-        budgetSwitch = false
+    RRSets.broadcasting(spark, sampler.getOrElse(new ICRRSampler(g))) { rrSampler =>
+      val rr = new scala.collection.mutable.ArrayBuffer[Array[Int]]()
+      def generateUntil(target: Double): Unit = {
+        val capped = math.min(target, maxRR.toDouble)
+        val need = math.ceil(capped).toLong - rr.length
+        if (need > 0) rr ++= RRSets.generate(spark, rrSampler, need, seed, offset = rr.length.toLong)
       }
-    }
 
-    if (s < budgets.length) {
-      // line 22-25: fall back to LB = 1 for the current (largest remaining)
-      // budget; lambda* is monotone in k so later budgets are subsumed.
-      generateUntil(lambdaStar(budgets(s)) / 1.0)
-    }
+      // Greedy picks do not depend on k, so one selection of bMax seeds per
+      // collection size answers every budget: its k-prefix and covered(k)
+      // are those of a selection of k seeds.
+      var selection: MaxCover.CoverResult = null
+      var selectedSize = -1
+      def select(): MaxCover.CoverResult = {
+        if (selectedSize != rr.length) {
+          selection = MaxCover.nodeSelection(rr, bMax, n, forbidden)
+          selectedSize = rr.length
+        }
+        selection
+      }
 
-    val fin = MaxCover.nodeSelection(rr, bMax, n, forbidden)
-    val sigmaHat = fin.coveredAfter.map(c => n.toDouble * c / rr.length)
-    Result(fin.seeds, rr.length, sigmaHat)
+      var s = 0 // 0-based index into budgets
+      var i = 1
+      var budgetSwitch = false
+      val maxI = (math.log(n.toDouble) / math.log(2)).toInt - 1
+
+      while (i <= maxI && s < budgets.length) {
+        val k = budgets(s)
+        val x = n.toDouble / math.pow(2, i)
+        generateUntil(lambdaPrime(k) / x)
+
+        // Right after a budget switch, the previous selection's k-prefix is
+        // evaluated on the grown collection instead of selecting anew.
+        val covK =
+          if (budgetSwitch) MaxCover.coverage(rr, selection.seeds.take(k))
+          else select().covered(k)
+        val frac = covK.toDouble / rr.length
+        if (n * frac >= (1 + epsP) * x) {
+          val lb = n * frac / (1 + epsP)
+          generateUntil(lambdaStar(k) / lb)
+          s += 1
+          budgetSwitch = true
+        } else {
+          i += 1
+          budgetSwitch = false
+        }
+      }
+
+      if (s < budgets.length) {
+        // line 22-25: fall back to LB = 1 for the current (largest remaining)
+        // budget; lambda* is monotone in k so later budgets are subsumed.
+        generateUntil(lambdaStar(budgets(s)) / 1.0)
+      }
+
+      val fin = select()
+      val sigmaHat = fin.coveredAfter.map(c => n.toDouble * c / rr.length)
+      Result(fin.seeds, rr.length, sigmaHat)
+    }
   }
 
   /** Plain IMM: PRIMM with a single budget. */

@@ -2,6 +2,7 @@ package repro.im
 
 import java.util.SplittableRandom
 
+import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.SparkSession
 
 import repro.graph.{SocialGraph, Traversal}
@@ -37,16 +38,28 @@ object RRSets {
 
   /** Generate RR sets with global sample ids `[offset, offset+count)`. */
   def generate(spark: SparkSession, sampler: RRSampler, count: Long,
+               seed: Long, offset: Long): Array[Array[Int]] =
+    if (count <= 0) Array.empty
+    else broadcasting(spark, sampler)(b => generate(spark, b, count, seed, offset))
+
+  /** As above, with a sampler already broadcast, so that many calls can
+    * share one broadcast (see [[broadcasting]]).
+    */
+  def generate(spark: SparkSession, sampler: Broadcast[RRSampler], count: Long,
                seed: Long, offset: Long): Array[Array[Int]] = {
     if (count <= 0) return Array.empty
     val sc = spark.sparkContext
-    val bSampler = sc.broadcast(sampler)
     val parts = math.max(1, math.min(count, sc.defaultParallelism * 4L)).toInt
-    val out = sc
-      .range(offset, offset + count, numSlices = parts)
-      .map(i => bSampler.value.sample(new SplittableRandom(mix(seed, i))))
+    sc.range(offset, offset + count, numSlices = parts)
+      .map(i => sampler.value.sample(new SplittableRandom(mix(seed, i))))
       .collect()
-    bSampler.destroy()
-    out
+  }
+
+  /** Run `f` with `sampler` broadcast; the broadcast is destroyed when `f`
+    * returns or throws.
+    */
+  def broadcasting[A](spark: SparkSession, sampler: RRSampler)(f: Broadcast[RRSampler] => A): A = {
+    val b = spark.sparkContext.broadcast(sampler)
+    try f(b) finally b.destroy()
   }
 }

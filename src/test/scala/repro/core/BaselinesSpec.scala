@@ -97,4 +97,11 @@ class BaselinesSpec extends AnyFunSuite with SparkSpec {
     val small = GraphGen.uniformDirected("s", 10, 30, seed = 3)
     intercept[IllegalArgumentException](Baselines.itemDisj(spark, small, Array(6, 5)))
   }
+
+  test("bundle-disj rejects budgets that need more fresh seeds than there are nodes") {
+    // Config 3 seeds each item on its own fresh nodes: 6 + 5 > 10
+    val small = GraphGen.uniformDirected("s", 10, 30, seed = 3)
+    intercept[IllegalArgumentException](
+      Baselines.bundleDisj(spark, small, Array(6, 5), Configs.config3.detUtil, seed = 5))
+  }
 }

@@ -1,6 +1,10 @@
 package repro.im
 
+import java.util.SplittableRandom
+
 import org.scalatest.funsuite.AnyFunSuite
+
+import repro.graph.GraphGen
 
 class MaxCoverSpec extends AnyFunSuite {
 
@@ -38,6 +42,7 @@ class MaxCoverSpec extends AnyFunSuite {
     assert(MaxCover.coverage(rr, Array(1)) == 2)
     assert(MaxCover.coverage(rr, Array(1, 3)) == 3)
     assert(MaxCover.coverage(rr, Array.empty[Int]) == 0)
+    assert(MaxCover.coverage(rr, Array(3, 1000)) == 1) // ids no set contains
   }
 
   test("empty RR collection still returns k seeds with zero coverage") {
@@ -76,5 +81,77 @@ class MaxCoverSpec extends AnyFunSuite {
       val best = (0 until n).combinations(k).map(c => MaxCover.coverage(rr, c.toArray)).max
       assert(res.covered(k) >= math.ceil((1 - 1.0 / math.E) * best) - 1e-9)
     }
+  }
+
+  /** The O(n)-per-pick greedy `nodeSelection` used to be: each pick scans
+    * every node for the largest gain, ties to the smaller id. The heap-based
+    * version must reproduce it exactly.
+    */
+  private def scanSelection(rr: IndexedSeq[Array[Int]], k: Int, n: Int,
+                            forbidden: Set[Int]): MaxCover.CoverResult = {
+    val gain = new Array[Int](n)
+    rr.foreach(_.foreach(u => gain(u) += 1))
+    val containing = Array.tabulate(n)(u => rr.indices.filter(s => rr(s).contains(u)))
+    forbidden.foreach(u => if (u < n) gain(u) = -1)
+    val covered = new Array[Boolean](rr.length)
+    val seeds = scala.collection.mutable.ArrayBuffer.empty[Int]
+    val coveredAfter = scala.collection.mutable.ArrayBuffer.empty[Int]
+    var coveredCount = 0
+    var pick = 0
+    while (pick < k && pick < n) {
+      var best = -1; var bestGain = -1
+      (0 until n).foreach(u => if (gain(u) > bestGain) { bestGain = gain(u); best = u })
+      if (best < 0) pick = k
+      else {
+        seeds += best
+        for (sid <- containing(best) if !covered(sid)) {
+          covered(sid) = true
+          coveredCount += 1
+          rr(sid).foreach(w => if (gain(w) > 0) gain(w) -= 1)
+        }
+        gain(best) = -1
+        coveredAfter += coveredCount
+        pick += 1
+      }
+    }
+    MaxCover.CoverResult(seeds.toArray, coveredAfter.toArray)
+  }
+
+  private def assertSameSelection(rr: IndexedSeq[Array[Int]], k: Int, n: Int, forbidden: Set[Int]): Unit = {
+    val got = MaxCover.nodeSelection(rr, k, n, forbidden)
+    val want = scanSelection(rr, k, n, forbidden)
+    val what = s"n=$n k=$k |R|=${rr.length} forbidden=$forbidden"
+    assert(got.seeds.toSeq == want.seeds.toSeq, what)
+    assert(got.coveredAfter.toSeq == want.coveredAfter.toSeq, what)
+  }
+
+  test("node selection equals the per-pick scan on random collections") {
+    val rng = new SplittableRandom(2024)
+    (0 until 240).foreach { trial =>
+      val n = 1 + rng.nextInt(30)
+      // every tenth collection is empty; members come from few nodes, so
+      // gains tie often, and about one set in six is empty
+      val m = if (trial % 10 == 0) 0 else rng.nextInt(60)
+      val rr = IndexedSeq.fill(m) {
+        if (rng.nextInt(6) == 0) Array.empty[Int]
+        else Array.fill(1 + rng.nextInt(math.min(n, 6)))(rng.nextInt(n)).distinct
+      }
+      val forbidden = trial % 4 match {
+        case 0 => Set.empty[Int]
+        case 1 => (0 until n).filter(_ => rng.nextInt(3) == 0).toSet
+        case 2 => (0 until n).toSet // all forbidden: nothing selectable
+        case _ => (0 until n).filter(_ => rng.nextInt(4) == 0).toSet + (n + rng.nextInt(5))
+      }
+      val k = rng.nextInt(n + 6) // k = 0 and k > n included
+      assertSameSelection(rr, k, n, forbidden)
+    }
+  }
+
+  test("node selection equals the per-pick scan on IC RR sets") {
+    val g = GraphGen.powerLawDirected("mc", 1500, 12000, seed = 3)
+    val sampler = new ICRRSampler(g)
+    val rr = (0 until 4000).map(i => sampler.sample(new SplittableRandom(RRSets.mix(5, i.toLong))))
+    assertSameSelection(rr, 300, g.n, Set.empty)
+    assertSameSelection(rr, 300, g.n, (0 until g.n by 7).toSet)
   }
 }

@@ -189,4 +189,45 @@ class PRIMMSpec extends AnyFunSuite with SparkSpec {
     val opt = bruteOpt(reach, g.n, 3)
     assert(sigma(reach, r1.seeds.take(3)) >= (1 - 1.0 / math.E - 0.3) * opt)
   }
+
+  test("forbidden nodes must leave at least the largest budget selectable") {
+    val g = detGraph
+    // 38 of 40 nodes forbidden: two seeds cannot fill a budget of 3
+    intercept[IllegalArgumentException](PRIMM.imm(spark, g, 3, eps = 0.3, seed = 8, forbidden = (0 until 38).toSet))
+    // ids outside [0, n) do not count against the selectable nodes
+    val res = PRIMM.imm(spark, g, 3, eps = 0.3, seed = 8, forbidden = (0 until 37).toSet ++ Set(-1, 40, 100))
+    assert(res.seeds.sorted.toSeq == Seq(37, 38, 39))
+  }
+
+  test("one run broadcasts its sampler once and draws exactly rrCount RR sets") {
+    val g = GraphGen.powerLawDirected("p", 400, 3000, seed = 11)
+    val sc = spark.sparkContext
+    CountingSampler.writes.set(0); CountingSampler.draws.set(0)
+    sc.setJobGroup("primm-broadcast", "PRIMM sampler broadcast count")
+    val res =
+      try PRIMM.run(spark, g, Seq(8, 4, 2), eps = 0.5, seed = 14, sampler = Some(new CountingSampler(new ICRRSampler(g))))
+      finally sc.clearJobGroup()
+    assert(sc.statusTracker.getJobIdsForGroup("primm-broadcast").length >= 2) // several sampling jobs...
+    assert(CountingSampler.writes.get == 1) // ...share one broadcast
+    assert(CountingSampler.draws.get == res.rrCount)
+  }
+}
+
+/** Counts its draws and its serializations (one per Spark broadcast) in
+  * JVM-wide counters, which tasks of a local master share.
+  */
+final class CountingSampler(inner: RRSampler) extends RRSampler {
+  def sample(rng: java.util.SplittableRandom): Array[Int] = {
+    CountingSampler.draws.incrementAndGet()
+    inner.sample(rng)
+  }
+  private def writeObject(out: java.io.ObjectOutputStream): Unit = {
+    CountingSampler.writes.incrementAndGet()
+    out.defaultWriteObject()
+  }
+}
+
+object CountingSampler {
+  val writes = new java.util.concurrent.atomic.AtomicInteger
+  val draws = new java.util.concurrent.atomic.AtomicLong
 }

@@ -78,4 +78,28 @@ class RRSetsSpec extends AnyFunSuite with SparkSpec with PropHelpers {
     val sampler = new ICRRSampler(chain)
     assert(RRSets.generate(spark, sampler, 0, 1, 0).isEmpty)
   }
+
+  test("calls sharing one broadcast match calls that broadcast their own") {
+    val g = repro.graph.GraphGen.uniformDirected("t", 40, 200, seed = 9)
+    val sampler = new ICRRSampler(g)
+    val shared = RRSets.broadcasting(spark, sampler) { b =>
+      RRSets.generate(spark, b, count = 10, seed = 5, offset = 0) ++ RRSets.generate(spark, b, count = 10, seed = 5, offset = 10)
+    }
+    val own = RRSets.generate(spark, sampler, count = 20, seed = 5, offset = 0)
+    assert(shared.map(_.toSeq).toSeq == own.map(_.toSeq).toSeq)
+  }
+
+  test("the broadcast is destroyed when sampling fails") {
+    val failing = new FailingSampler
+    var handle: Option[org.apache.spark.broadcast.Broadcast[RRSampler]] = None
+    intercept[org.apache.spark.SparkException] {
+      RRSets.broadcasting(spark, failing) { b => handle = Some(b); RRSets.generate(spark, b, 4, 1, 0) }
+    }
+    // a destroyed broadcast refuses to hand out its value
+    intercept[org.apache.spark.SparkException](handle.get.value)
+  }
+}
+
+final class FailingSampler extends RRSampler {
+  def sample(rng: SplittableRandom): Array[Int] = sys.error("sampler failed")
 }
