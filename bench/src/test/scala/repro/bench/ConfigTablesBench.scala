@@ -1,83 +1,12 @@
 package repro.bench
 
-import org.scalatest.funsuite.AnyFunSuite
-
-import repro.core.Configs
-import repro.exp.Experiments
-import repro.items.{Itemsets, SetFunctions}
+import repro.jobs.{Table3Configs, Table4Configs, Table5RealParams}
 
 /** Tables 3, 4 and 5: the experiment configurations, printed with their
   * derived quantities and checked against the paper's published values.
   */
-class ConfigTablesBench extends AnyFunSuite {
-
-  test("Table 3: two-item configurations and derived GAP parameters") {
-    val paperGaps = Map(
-      1 -> (0.1, 0.99, 0.1, 0.99),
-      3 -> (0.5, 0.84, 0.5, 0.84),
-      5 -> (0.5, 0.98, 0.16, 0.84),
-    )
-    val rows = Configs.table3.map { c =>
-      val m = c.model
-      val gap = c.gap
-      paperGaps.get(if (c.no % 2 == 1) c.no else c.no - 1).foreach { case (qa0, qab, qb0, qba) =>
-        assert(math.abs(gap.qA0 - qa0) < 0.005, s"config ${c.no} qA0")
-        assert(math.abs(gap.qAB - qab) < 0.005, s"config ${c.no} qAB")
-        assert(math.abs(gap.qB0 - qb0) < 0.005, s"config ${c.no} qB0")
-        assert(math.abs(gap.qBA - qba) < 0.005, s"config ${c.no} qBA")
-      }
-      Seq[Any](
-        c.no,
-        s"${m.prices(0)}/${m.prices(1)}/7",
-        s"${m.valuation(1)}/${m.valuation(2)}/${m.valuation(3)}",
-        f"${gap.qA0}%.2f/${gap.qAB}%.2f/${gap.qB0}%.2f/${gap.qBA}%.2f",
-        if (c.uniformBudgets) "Uniform" else "Nonuniform",
-      )
-    }
-    Experiments.printTable("Table 3: two-item configurations",
-      Seq("No", "P(i1)/P(i2)/P(both)", "V(i1)/V(i2)/V(both)",
-        "GAP qA0/qAB/qB0/qBA", "Budget"), rows)
-  }
-
-  test("Table 4: multi-item configurations are valid supermodular models") {
-    val k = 10
-    val cases = Seq(
-      (7, Configs.config7(k), "Additive", "Uniform"),
-      (8, Configs.configCone(8, k, 0), "Cone-max", "Non-uniform"),
-      (9, Configs.configCone(9, k, k - 1), "Cone-min", "Non-uniform"),
-      (10, Configs.config10(k), "Level-wise", "Uniform"),
-    )
-    val rows = cases.map { case (no, cfg, value, budget) =>
-      val table = cfg.model.valuation.toTable
-      assert(SetFunctions.isMonotone(table), s"config $no")
-      assert(SetFunctions.isSupermodular(table), s"config $no")
-      val positive = (1 until (1 << k)).count(cfg.detUtil(_) >= 0)
-      Seq[Any](no, value, budget, s"$positive / ${(1 << k) - 1} itemsets with detU >= 0")
-    }
-    Experiments.printTable("Table 4: multiple item configurations",
-      Seq("No", "Value", "Budget", "positive-utility lattice shape"), rows)
-  }
-
-  test("Table 5: learned PS4 parameters match the published rows") {
-    val m = Configs.realPs4.model
-    val paper = Seq(
-      (1, 260.0, 213.0, 4.0), // {ps}
-      (3, 280.0, 220.0, 6.0), // {ps, c}
-      (1 | (7 << 2), 275.0, 258.0, 4.0), // {ps, g1, g2, g3}
-      (3 | (3 << 2), 290.0, 292.5, 5.0), // {ps, g1, g2, c}
-      (3 | (7 << 2), 295.0, 302.0, 7.0), // all five
-    )
-    val rows = paper.map { case (mask, price, value, noiseVar) =>
-      val gotPrice = Itemsets.items(mask).map(m.prices).sum
-      val gotVar = Itemsets.items(mask).map(i => m.noise.stds(i) * m.noise.stds(i)).sum
-      assert(gotPrice == price, s"price of mask $mask")
-      assert(m.valuation(mask) == value, s"value of mask $mask")
-      val names = Itemsets.items(mask).map(Configs.realItemNames).mkString("{", ",", "}")
-      Seq[Any](names, gotPrice, m.valuation(mask),
-        f"N(0, $gotVar%.1f) (paper N(0,$noiseVar%.0f))",
-        f"${m.valuation(mask) - gotPrice}%.1f")
-    }
-    Experiments.printTable("Table 5: learned parameters (PS4 bundle)",
-      Seq("Itemset", "Price", "Value", "Noise", "det. utility"), rows)
-  }
+class ConfigTablesBench extends TableBench {
+  test("Table 3: two-item configurations and derived GAP parameters") { check(Table3Configs.table) }
+  test("Table 4: multi-item configurations are valid supermodular models") { check(Table4Configs.table) }
+  test("Table 5: learned PS4 parameters match the published rows") { check(Table5RealParams.table) }
 }

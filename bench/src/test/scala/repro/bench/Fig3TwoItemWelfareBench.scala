@@ -1,45 +1,15 @@
 package repro.bench
 
-import org.scalatest.funsuite.AnyFunSuite
-
 import repro.SparkSpec
-import repro.core.Configs
 import repro.exp.Experiments
-import repro.exp.Experiments._
+import repro.jobs.Fig3TwoItemWelfare
 
 /** Fig. 3 (+ Fig. 8a/8b): expected social welfare, two items, all five
   * algorithms, Douban-Movie stand-in.
-  *
-  * Paper shape being reproduced: greedyWM dominates every baseline;
-  * RR-SIM+ and RR-CIM track greedyWM closely (they end up copying its
-  * seeds); item-disj collapses when singletons have negative deterministic
-  * utility (configs 1-2) and trails elsewhere.
   */
-class Fig3TwoItemWelfareBench extends AnyFunSuite with SparkSpec {
-
-  private val runs = Experiments.mcRuns
+class Fig3TwoItemWelfareBench extends TableBench with SparkSpec {
   private lazy val g = Experiments.network("Douban-Movie")
-
-  private def runConfig(no: Int): Unit = {
-    val cfg = Configs.table3(no - 1)
-    val grid = twoItemBudgetGrid(cfg.uniformBudgets)
-    val rows = for (budgets <- grid) yield {
-      val results = twoItemAlgos.map(a => a -> Experiments.run(a, spark, g, cfg, budgets, runs))
-      val byAlgo = results.toMap
-      val gw = byAlgo(AlgoGreedyWM).welfare
-      val bestBaseline = results.collect { case (a, r) if a != AlgoGreedyWM => r.welfare }.max
-      assert(gw >= 0.9 * bestBaseline,
-        s"config $no budgets ${budgets.mkString("/")}: greedyWM $gw far below best baseline $bestBaseline")
-      budgets -> results
-    }
-    Experiments.printTable(
-      s"Fig 3: E[welfare] on Douban-Movie, ${cfg.name} (runs=$runs)",
-      Seq("budgets b1/b2") ++ twoItemAlgos,
-      rows.map { case (budgets, results) =>
-        Seq[Any](budgets.mkString("/")) ++ results.map(_._2.welfare)
-      },
-    )
-  }
+  private def runConfig(no: Int): Unit = check(Fig3TwoItemWelfare.run(spark, g, no)())
 
   test("Fig 3(a): Configuration 2 — item-disj collapses, greedyWM = bundle-disj dominate") {
     runConfig(2)
@@ -49,13 +19,4 @@ class Fig3TwoItemWelfareBench extends AnyFunSuite with SparkSpec {
   test("Fig 3(d): Configuration 6") { runConfig(6) }
   test("Fig 8(a): Configuration 1") { runConfig(1) }
   test("Fig 8(b): Configuration 4") { runConfig(4) }
-
-  test("Configuration 2: item-disj welfare is a small fraction of greedyWM's") {
-    val cfg = Configs.config2
-    val budgets = Configs.nonUniformTwoItem(70)
-    val gw = Experiments.run(AlgoGreedyWM, spark, g, cfg, budgets, runs)
-    val id = Experiments.run(AlgoItemDisj, spark, g, cfg, budgets, runs)
-    assert(id.welfare < 0.5 * gw.welfare,
-      s"item-disj ${id.welfare} vs greedyWM ${gw.welfare}")
-  }
 }

@@ -1,52 +1,11 @@
 package repro.bench
 
-import org.scalatest.funsuite.AnyFunSuite
-
 import repro.SparkSpec
-import repro.core.Configs
-import repro.exp.Experiments
-import repro.exp.Experiments._
+import repro.jobs.Fig4RunningTime
 
-/** Fig. 4: running time under Configuration 1 on all four networks.
-  *
-  * Paper shape: greedyWM and bundle-disj coincide (one IMM call for the
-  * single bundle); item-disj pays for a double-budget IMM; the Com-IC
-  * algorithms are the slowest by orders of magnitude and time out on
-  * Twitter (mirrored here by skipping them on the stand-in).
-  */
-class Fig4RunningTimeBench extends AnyFunSuite with SparkSpec {
-
+/** Fig. 4: running time under Configuration 1 on all four networks. */
+class Fig4RunningTimeBench extends TableBench with SparkSpec {
   test("Fig 4: running time of all algorithms, Configuration 1, b=50/50") {
-    val cfg = Configs.config1
-    val budgets = Configs.uniformTwoItem(50)
-    // JIT warm-up so the first measured cell is not dominated by classloading
-    Experiments.run(AlgoGreedyWM, spark, Experiments.network("Flixster"), cfg, budgets, runs = 1)
-
-    val cells = for (name <- Experiments.networkNames) yield {
-      val net = Experiments.network(name)
-      val times = twoItemAlgos.map {
-        case a @ (AlgoRRSimPlus | AlgoRRCim) if name == "Twitter" =>
-          a -> None // paper: timed out after 6 hours
-        case a =>
-          a -> Some(Experiments.run(a, spark, net, cfg, budgets, runs = 1).millis)
-      }
-      name -> times
-    }
-
-    Experiments.printTable(
-      "Fig 4: allocation time (ms), Configuration 1, budgets 50/50",
-      Seq("network") ++ twoItemAlgos,
-      cells.map { case (name, times) =>
-        Seq[Any](name) ++ times.map(_._2.map(_.toString + " ms").getOrElse("timeout (paper >6h)"))
-      },
-    )
-
-    // shape assertions on the three small networks
-    for ((name, times) <- cells if name != "Twitter") {
-      val t = times.collect { case (a, Some(ms)) => a -> ms }.toMap
-      val comicSlowest = math.max(t(AlgoRRSimPlus), t(AlgoRRCim))
-      assert(comicSlowest > t(AlgoGreedyWM),
-        s"$name: Com-IC baselines ($comicSlowest ms) should be slower than greedyWM (${t(AlgoGreedyWM)} ms)")
-    }
+    check(Fig4RunningTime.run(spark))
   }
 }

@@ -1,43 +1,16 @@
 package repro.bench
 
-import org.scalatest.funsuite.AnyFunSuite
-
 import repro.SparkSpec
 import repro.exp.Experiments
-import repro.exp.Experiments._
-import repro.jobs.Fig5MultiItemWelfare.{budgetsFor, configFor}
+import repro.jobs.Fig5MultiItemWelfare
 
 /** Fig. 5: expected welfare with 10 items under configurations 7-10,
-  * total budget swept 500..1000, Douban-Movie stand-in.
-  *
-  * Paper shape: greedyWM dominates (up to ~4x the baselines); under the
-  * cone configs greedyWM and bundle-disj coincide when the core has the
-  * right budget position.
+  * Douban-Movie stand-in, on three of the paper's six total budgets.
   */
-class Fig5MultiItemWelfareBench extends AnyFunSuite with SparkSpec {
-
-  private val k = 10
-  private val runs = Experiments.mcRuns
+class Fig5MultiItemWelfareBench extends TableBench with SparkSpec {
   private lazy val g = Experiments.network("Douban-Movie")
-  private val totals = Seq(500, 700, 1000) // thinned from the paper's 6-point grid
-
-  private def runConfig(no: Int): Unit = {
-    val rows = for (total <- totals) yield {
-      val budgets = budgetsFor(no, k, total)
-      val cfg = configFor(no, k, budgets)
-      val results = multiItemAlgos.map(a => a -> Experiments.run(a, spark, g, cfg, budgets, runs))
-      val gw = results.head._2.welfare
-      val best = results.map(_._2.welfare).max
-      assert(gw >= 0.9 * best,
-        s"config $no total $total: greedyWM $gw far below best $best")
-      total -> results
-    }
-    Experiments.printTable(
-      s"Fig 5: E[welfare] on Douban-Movie, Configuration $no, 10 items (runs=$runs)",
-      Seq("total budget") ++ multiItemAlgos,
-      rows.map { case (total, results) => Seq[Any](total) ++ results.map(_._2.welfare) },
-    )
-  }
+  private def runConfig(no: Int): Unit =
+    check(Fig5MultiItemWelfare.run(spark, g, no, totals = Seq(500, 700, 1000)))
 
   test("Fig 5(a): Configuration 7 (additive)") { runConfig(7) }
   test("Fig 5(b): Configuration 8 (cone-max)") { runConfig(8) }

@@ -1,52 +1,14 @@
 package repro.bench
 
-import org.scalatest.funsuite.AnyFunSuite
-
 import repro.SparkSpec
-import repro.core.Configs
 import repro.exp.Experiments
-import repro.exp.Experiments._
+import repro.jobs.Fig6ItemsRuntime
 
-/** Fig. 6: running time vs number of items (Configuration 7, k = 50) on
-  * the Twitter stand-in.
-  *
-  * Paper shape: greedyWM's cost depends only on the maximum budget and is
-  * flat in the number of items s; item-disj pays one IMM at budget 50*s;
-  * bundle-disj pays s IMM calls at budget 50. At s = 10 the paper reports
-  * greedyWM ~8x faster than bundle-disj and ~2.5x than item-disj.
+/** Fig. 6: running time vs number of items on the Twitter stand-in, at
+  * s = 1, 2, 5, 10 of the paper's 1..10.
   */
-class Fig6ItemsRuntimeBench extends AnyFunSuite with SparkSpec {
-
+class Fig6ItemsRuntimeBench extends TableBench with SparkSpec {
   test("Fig 6: running time vs number of items on Twitter (Config 7, k=50)") {
-    val k = 50
-    val g = Experiments.network("Twitter")
-    val sGrid = Seq(1, 2, 5, 10)
-    // warm-up
-    Experiments.run(AlgoGreedyWM, spark, g, Configs.config7(1), Array(k), runs = 1)
-
-    val rows = for (s <- sGrid) yield {
-      val budgets = Array.fill(s)(k)
-      val cfg = Configs.config7(s)
-      val times = multiItemAlgos.map { a =>
-        a -> Experiments.run(a, spark, g, cfg, budgets, runs = 1).millis
-      }
-      s -> times.toMap
-    }
-    Experiments.printTable(
-      "Fig 6: allocation time (ms) vs #items on Twitter (Config 7, k=50)",
-      Seq("#items") ++ multiItemAlgos,
-      rows.map { case (s, t) => Seq[Any](s) ++ multiItemAlgos.map(a => s"${t(a)} ms") },
-    )
-
-    val at10 = rows.last._2
-    assert(at10(AlgoGreedyWM) < at10(AlgoBundleDisj),
-      s"greedyWM ${at10(AlgoGreedyWM)} ms should beat bundle-disj ${at10(AlgoBundleDisj)} ms at s=10")
-    assert(at10(AlgoGreedyWM) < at10(AlgoItemDisj),
-      s"greedyWM ${at10(AlgoGreedyWM)} ms should beat item-disj ${at10(AlgoItemDisj)} ms at s=10")
-    // greedyWM's cost is independent of s: compare s=1 vs s=10 loosely
-    val g1 = rows.head._2(AlgoGreedyWM)
-    val g10 = at10(AlgoGreedyWM)
-    assert(g10 < 4 * math.max(g1, 500),
-      s"greedyWM time should be ~flat in s: s=1 -> $g1 ms, s=10 -> $g10 ms")
+    check(Fig6ItemsRuntime.run(spark, Experiments.network("Twitter"), items = Seq(1, 2, 5, 10)))
   }
 }

@@ -1,56 +1,12 @@
 package repro.bench
 
-import org.scalatest.funsuite.AnyFunSuite
-
 import repro.SparkSpec
-import repro.core.Configs
 import repro.exp.Experiments
-import repro.exp.Experiments._
+import repro.jobs.Fig7RealParams
 
-/** Fig. 7(a,b): the learned PS4-bundle parameters; greedyWM vs bundle-disj
-  * with total budget 100..500 split 30/30/20/10/10. item-disj is excluded
-  * (0 welfare by construction: no singleton has positive utility).
-  *
-  * Paper shape: greedyWM up to ~2x bundle-disj's welfare at high budgets;
-  * bundle-disj ~1.5x slower (it makes several IMM calls).
-  */
-class Fig7RealParamsBench extends AnyFunSuite with SparkSpec {
-
-  private val runs = Experiments.mcRuns
-  private lazy val g = Experiments.network("Douban-Movie")
-  private val cfg = Configs.realPs4
-
+/** Fig. 7(a,b): the learned PS4-bundle parameters on Douban-Movie. */
+class Fig7RealParamsBench extends TableBench with SparkSpec {
   test("Fig 7(a,b): welfare and running time under real parameters") {
-    // warm-up
-    Experiments.run(AlgoGreedyWM, spark, g, cfg, Configs.realSplit(100), runs = 1)
-
-    val totals = Seq(100, 200, 300, 400, 500)
-    val rows = for (total <- totals) yield {
-      val budgets = Configs.realSplit(total)
-      val gw = Experiments.run(AlgoGreedyWM, spark, g, cfg, budgets, runs)
-      val bd = Experiments.run(AlgoBundleDisj, spark, g, cfg, budgets, runs)
-      (total, gw, bd)
-    }
-    Experiments.printTable(
-      s"Fig 7(a,b): PS4 bundle on Douban-Movie (runs=$runs)",
-      Seq("total budget", "greedyWM welfare", "bundle-disj welfare",
-        "greedyWM ms", "bundle-disj ms"),
-      rows.map { case (t, gw, bd) => Seq[Any](t, gw.welfare, bd.welfare, gw.millis, bd.millis) },
-    )
-
-    rows.foreach { case (t, gw, bd) =>
-      assert(gw.welfare >= bd.welfare * 0.95,
-        s"total $t: greedyWM ${gw.welfare} below bundle-disj ${bd.welfare}")
-    }
-    // at the largest budget greedyWM should clearly dominate
-    val (_, gwMax, bdMax) = rows.last
-    assert(gwMax.welfare > bdMax.welfare,
-      s"at total 500 greedyWM ${gwMax.welfare} should beat bundle-disj ${bdMax.welfare}")
-  }
-
-  test("item-disj has zero expected welfare under the real parameters") {
-    val budgets = Configs.realSplit(200)
-    val id = Experiments.run(AlgoItemDisj, spark, g, cfg, budgets, runs = 8)
-    assert(id.welfare == 0.0, s"item-disj welfare ${id.welfare}")
+    check(Fig7RealParams.run(spark, Experiments.network("Douban-Movie")))
   }
 }

@@ -1,47 +1,14 @@
 package repro.bench
 
-import org.scalatest.funsuite.AnyFunSuite
-
 import repro.SparkSpec
-import repro.core.Configs
 import repro.exp.Experiments
-import repro.exp.Experiments._
+import repro.jobs.Fig8Skew
 
-/** Fig. 7(c) / Fig. 8(c): effect of budget skew on greedyWM — total
-  * budget 500 over 10 items (Configuration 7), split uniform / moderate /
-  * large skew, on the Twitter stand-in (the appendix variant).
-  *
-  * Paper shape: welfare highest under uniform, lowest under large skew;
-  * running time shows the opposite trend (large skew selects the most
-  * seeds, so it is the slowest).
+/** Fig. 7(c) / Fig. 8(c): budget skew on the Twitter stand-in (the
+  * appendix variant).
   */
-class Fig8SkewBench extends AnyFunSuite with SparkSpec {
-
-  private val runs = Experiments.mcRuns
-
+class Fig8SkewBench extends TableBench with SparkSpec {
   test("Fig 8(c): budget skew, Configuration 7, total 500, 10 items") {
-    val g = Experiments.network("Twitter")
-    val cfg = Configs.config7(10)
-    // warm-up
-    Experiments.run(AlgoGreedyWM, spark, g, cfg, Array.fill(10)(10), runs = 1)
-
-    val rows = Configs.skewDistributions.map { case (name, budgets) =>
-      val r = Experiments.run(AlgoGreedyWM, spark, g, cfg, budgets, runs)
-      (name, budgets, r)
-    }
-    Experiments.printTable(
-      s"Fig 8(c): greedyWM under budget skew on Twitter (runs=$runs)",
-      Seq("distribution", "budgets", "E[welfare]", "time"),
-      rows.map { case (n, b, r) => Seq[Any](n, b.mkString(","), r.welfare, s"${r.millis} ms") },
-    )
-
-    val byName = rows.map { case (n, _, r) => n -> r }.toMap
-    val uni = byName("Uniform"); val mod = byName("Moderate skew"); val large = byName("Large skew")
-    assert(uni.welfare >= mod.welfare * 0.98,
-      s"uniform ${uni.welfare} should be >= moderate ${mod.welfare}")
-    assert(mod.welfare >= large.welfare * 0.98,
-      s"moderate ${mod.welfare} should be >= large skew ${large.welfare}")
-    assert(large.millis >= uni.millis / 2,
-      s"large skew (${large.millis} ms) should not be faster than ~uniform (${uni.millis} ms)")
+    check(Fig8Skew.run(spark, Experiments.network("Twitter")))
   }
 }

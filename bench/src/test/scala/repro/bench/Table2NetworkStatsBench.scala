@@ -1,41 +1,9 @@
 package repro.bench
 
-import org.scalatest.funsuite.AnyFunSuite
-
 import repro.SparkSpec
-import repro.exp.Experiments
+import repro.jobs.Table2NetworkStats
 
-/** Table 2: statistics of the four stand-in networks, printed in the
-  * paper's format and checked against the published node/edge counts
-  * (Twitter is the documented scale-down, so only its average degree is
-  * compared).
-  */
-class Table2NetworkStatsBench extends AnyFunSuite with SparkSpec {
-
-  test("Table 2: network statistics") {
-    val paper = Map(
-      "Flixster" -> (12900, 96000L, 14.8, "undirected"),
-      "Douban-Book" -> (23300, 141000L, 6.5, "directed"),
-      "Douban-Movie" -> (34900, 274000L, 7.9, "directed"),
-      "Twitter" -> (50000, 3500000L, 70.5, "directed"), // scaled from 41.7M/1.47G
-    )
-    val rows = Experiments.networkNames.map { name =>
-      val g = Experiments.network(name)
-      val edges = if (g.undirected) g.m / 2 else g.m
-      val (pn, pm, pd, pt) = paper(name)
-      assert(g.n == pn, s"$name nodes")
-      assert(edges == pm, s"$name edges")
-      assert((g.undirected && pt == "undirected") || (!g.undirected && pt == "directed"))
-      Seq[Any](name, g.n, edges, f"${g.avgDegree}%.1f (paper $pd)", pt)
-    }
-    Experiments.printTable("Table 2: Network Statistics (stand-ins)",
-      Seq("network", "nodes", "edges", "avg_degree", "type"), rows)
-  }
-
-  test("Table 2: degree statistics via DataFrame agree with the CSR") {
-    val g = Experiments.network("Douban-Book")
-    val row = g.statsDF(spark).collect().head
-    assert(row.getInt(1) == g.n)
-    assert(row.getLong(2) == g.m)
-  }
+/** Table 2: statistics of the four stand-in networks. */
+class Table2NetworkStatsBench extends TableBench with SparkSpec {
+  test("Table 2: network statistics") { check(Table2NetworkStats.run(spark)) }
 }

@@ -2,67 +2,107 @@ package repro.jobs
 
 import repro.core.Configs
 import repro.exp.Experiments
-import repro.items.Itemsets
+import repro.exp.Experiments.Table
+import repro.items.{Itemsets, SetFunctions}
 
 /** Table 3: the six two-item configurations with their derived GAP
   * parameters (Eq. 5) — the derivation the paper uses to compare against
   * the Com-IC baselines.
   */
 object Table3Configs {
-  def main(args: Array[String]): Unit = {
-    val rows = Configs.table3.map { c =>
+  def main(args: Array[String]): Unit = table.show()
+
+  /** Gate: every GAP value within 0.005 of the paper's (configs 2k-1 and
+    * 2k share their values).
+    */
+  def table: Table = {
+    // (qA0, qAB, qB0, qBA) as published
+    val paperGaps = Map(
+      1 -> Seq(0.1, 0.99, 0.1, 0.99),
+      3 -> Seq(0.5, 0.84, 0.5, 0.84),
+      5 -> Seq(0.5, 0.98, 0.16, 0.84),
+    )
+    val gaps = Configs.table3.map(c => c -> Seq(c.gap.qA0, c.gap.qAB, c.gap.qB0, c.gap.qBA))
+    val failed = Experiments.unmet(gaps.map { case (c, got) =>
+      val want = paperGaps(if (c.no % 2 == 1) c.no else c.no - 1)
+      got.zip(want).forall { case (a, b) => math.abs(a - b) < 0.005 } -> s"config ${c.no} GAP $got, paper $want"
+    })
+    val rows = gaps.map { case (c, q) =>
       val m = c.model
-      val gap = c.gap
       Seq[Any](
         c.no,
-        s"P(i1)=${m.prices(0)} P(i2)=${m.prices(1)}",
-        s"V(i1)=${m.valuation(1)} V(i2)=${m.valuation(2)} V(i1,i2)=${m.valuation(3)}",
-        f"q(i1|0)=${gap.qA0}%.2f q(i2|0)=${gap.qB0}%.2f q(i1|i2)=${gap.qAB}%.2f q(i2|i1)=${gap.qBA}%.2f",
+        s"${m.prices(0)}/${m.prices(1)}/7",
+        s"${m.valuation(1)}/${m.valuation(2)}/${m.valuation(3)}",
+        q.map(x => f"$x%.2f").mkString("/"),
         if (c.uniformBudgets) "Uniform" else "Nonuniform",
       )
     }
-    Experiments.printTable("Table 3: Two item configurations",
-      Seq("No", "Price", "Value", "GAP (derived, Eq.5)", "Budget"), rows)
+    Table("Table 3: two-item configurations",
+      Seq("No", "P(i1)/P(i2)/P(both)", "V(i1)/V(i2)/V(both)",
+        "GAP qA0/qAB/qB0/qBA", "Budget"), rows, failed)
   }
 }
 
 /** Table 4: the multi-item configurations. */
 object Table4Configs {
-  def main(args: Array[String]): Unit = {
-    val rows = Seq(
-      Seq[Any](7, "Additive", "Uniform"),
-      Seq[Any](8, "Cone-max", "Non-uniform"),
-      Seq[Any](9, "Cone-min", "Non-uniform"),
-      Seq[Any](10, "Level-wise", "Uniform"),
+  def main(args: Array[String]): Unit = table.show()
+
+  /** Gate: each configuration's valuation is monotone and supermodular. */
+  def table: Table = {
+    val k = 10
+    val cases = Seq(
+      (7, Configs.config7(k), "Additive", "Uniform"),
+      (8, Configs.configCone(8, k, 0), "Cone-max", "Non-uniform"),
+      (9, Configs.configCone(9, k, k - 1), "Cone-min", "Non-uniform"),
+      (10, Configs.config10(k), "Level-wise", "Uniform"),
     )
-    Experiments.printTable("Table 4: Multiple item configurations",
-      Seq("No", "Value", "Budget"), rows)
+    val failed = cases.flatMap { case (no, cfg, _, _) =>
+      val table = cfg.model.valuation.toTable
+      Experiments.unmet(Seq(
+        SetFunctions.isMonotone(table) -> s"config $no is not monotone",
+        SetFunctions.isSupermodular(table) -> s"config $no is not supermodular",
+      ))
+    }
+    val rows = cases.map { case (no, cfg, value, budget) =>
+      val positive = (1 until (1 << k)).count(cfg.detUtil(_) >= 0)
+      Seq[Any](no, value, budget, s"$positive / ${(1 << k) - 1} itemsets with detU >= 0")
+    }
+    Table("Table 4: multiple item configurations",
+      Seq("No", "Value", "Budget", "positive-utility lattice shape"), rows, failed)
   }
 }
 
 /** Table 5: learned real parameters of the PS4 bundle (values per itemset
-  * with positive relevance, plus per-item noise mapping).
+  * with positive relevance, plus per-item noise).
   */
 object Table5RealParams {
-  def main(args: Array[String]): Unit = {
-    val cfg = Configs.realPs4
-    val m = cfg.model
-    val interesting = Seq(
-      1, // {ps}
-      3, // {ps, c}
-      1 | (7 << 2), // {ps, g1, g2, g3}
-      3 | (3 << 2), // {ps, g1, g2, c}
-      3 | (7 << 2), // {ps, g1, g2, g3, c}
+  def main(args: Array[String]): Unit = table.show()
+
+  /** Gate: prices and values exactly as published. */
+  def table: Table = {
+    val m = Configs.realPs4.model
+    val paper = Seq(
+      (1, 260.0, 213.0, 4.0), // {ps}
+      (3, 280.0, 220.0, 6.0), // {ps, c}
+      (1 | (7 << 2), 275.0, 258.0, 4.0), // {ps, g1, g2, g3}
+      (3 | (3 << 2), 290.0, 292.5, 5.0), // {ps, g1, g2, c}
+      (3 | (7 << 2), 295.0, 302.0, 7.0), // all five
     )
-    def names(mask: Int): String =
-      Itemsets.items(mask).map(Configs.realItemNames).mkString("{", ",", "}")
-    val rows = interesting.map { mask =>
-      val price = Itemsets.items(mask).map(m.prices).sum
-      val varSum = Itemsets.items(mask).map(i => m.noise.stds(i) * m.noise.stds(i)).sum
-      Seq[Any](names(mask), price, m.valuation(mask), f"N(0, $varSum%.1f)",
-        f"detU=${m.valuation(mask) - price}%.1f")
+    def price(mask: Int): Double = Itemsets.items(mask).map(m.prices).sum
+    val failed = paper.flatMap { case (mask, p, value, _) =>
+      Experiments.unmet(Seq(
+        (price(mask) == p) -> s"price of mask $mask ${price(mask)}, paper $p",
+        (m.valuation(mask) == value) -> s"value of mask $mask ${m.valuation(mask)}, paper $value",
+      ))
     }
-    Experiments.printTable("Table 5: Learned parameters (PS4 bundle)",
-      Seq("Itemset", "Price", "Value", "Noise", "Deterministic utility"), rows)
+    val rows = paper.map { case (mask, _, _, noiseVar) =>
+      val gotVar = Itemsets.items(mask).map(i => m.noise.stds(i) * m.noise.stds(i)).sum
+      val names = Itemsets.items(mask).map(Configs.realItemNames).mkString("{", ",", "}")
+      Seq[Any](names, price(mask), m.valuation(mask),
+        f"N(0, $gotVar%.1f) (paper N(0,$noiseVar%.0f))",
+        f"${m.valuation(mask) - price(mask)}%.1f")
+    }
+    Table("Table 5: learned parameters (PS4 bundle)",
+      Seq("Itemset", "Price", "Value", "Noise", "det. utility"), rows, failed)
   }
 }

@@ -7,9 +7,9 @@ import repro.comic.ComicBaselines
 import repro.epic.Welfare
 import repro.graph.{GraphGen, SocialGraph}
 
-/** Shared experiment harness: allocation dispatch, welfare evaluation and
-  * pretty-printing for every evaluation table/figure. Jobs and bench
-  * suites are thin wrappers over these functions.
+/** Shared experiment engine: allocation dispatch, welfare evaluation,
+  * cached networks and table printing. Each table and figure is defined
+  * once, in its `repro.jobs` object, on top of these functions.
   */
 object Experiments {
 
@@ -75,51 +75,38 @@ object Experiments {
   }
 
   // -------------------------------------------------------------------
-  // Pretty printing
+  // Tables
   // -------------------------------------------------------------------
 
+  /** One evaluation table or figure as computed: what `printTable` prints,
+    * plus the paper-shape gates it failed (empty when the shape holds).
+    */
+  final case class Table(title: String, headers: Seq[String], rows: Seq[Seq[Any]],
+                         failed: Seq[String]) {
+    /** Print the table, then one line per failed gate. */
+    def show(): Unit = {
+      printTable(title, headers, rows)
+      failed.foreach(f => println(s"paper-shape gate failed: $f"))
+    }
+  }
+
+  /** The messages of the gates whose condition is false. */
+  def unmet(gates: Seq[(Boolean, String)]): Seq[String] = gates.collect { case (false, msg) => msg }
+
   def printTable(title: String, headers: Seq[String], rows: Seq[Seq[Any]]): Unit = {
-    val all = headers +: rows.map(_.map {
+    val cells = headers +: rows.map(_.map {
       case d: Double => f"$d%.1f"
       case x => x.toString
     })
-    val widths = headers.indices.map(i => all.map(_(i).toString.length).max)
-    def fmt(r: Seq[Any]): String =
-      r.zip(widths).map { case (c, w) => c.toString.padTo(w, ' ') }.mkString("| ", " | ", " |")
+    val widths = headers.indices.map(i => cells.map(_(i).length).max)
+    def fmt(r: Seq[String]): String =
+      r.zip(widths).map { case (c, w) => c.padTo(w, ' ') }.mkString("| ", " | ", " |")
     println()
     println(s"== $title ==")
-    println(fmt(headers))
+    println(fmt(cells.head))
     println(widths.map("-" * _).mkString("|-", "-|-", "-|"))
-    rows.foreach(r => println(fmt(r.map {
-      case d: Double => f"$d%.1f"
-      case x => x
-    })))
+    cells.tail.foreach(r => println(fmt(r)))
   }
-
-  /** Budget grids used in §6.2: uniform k in 10..50, non-uniform b2 in
-    * 30..110 with b1 = 70. Overridable via REPRO_BUDGET_POINTS to trim
-    * bench time.
-    */
-  def twoItemBudgetGrid(uniform: Boolean): Seq[Array[Int]] = {
-    val points = sys.env.get("REPRO_BUDGET_POINTS").map(_.toInt)
-    val grid =
-      if (uniform) Seq(10, 20, 30, 40, 50).map(Configs.uniformTwoItem)
-      else Seq(30, 50, 70, 90, 110).map(Configs.nonUniformTwoItem)
-    points.fold(grid)(p => thin(grid, p))
-  }
-
-  def multiItemTotalGrid: Seq[Int] = {
-    val grid = Seq(500, 600, 700, 800, 900, 1000)
-    sys.env.get("REPRO_BUDGET_POINTS").map(_.toInt).fold(grid)(p => thin(grid, p))
-  }
-
-  private def thin[A](xs: Seq[A], p: Int): Seq[A] =
-    if (p >= xs.length) xs
-    else if (p <= 1) Seq(xs.last)
-    else xs.zipWithIndex
-      .filter { case (_, i) => i % math.max(1, xs.length / p) == 0 || i == xs.length - 1 }
-      .map(_._1)
-      .take(p)
 
   // -------------------------------------------------------------------
   // Cached networks (generation is deterministic but not free).

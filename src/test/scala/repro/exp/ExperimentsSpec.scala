@@ -5,6 +5,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.SparkSpec
 import repro.core.Configs
 import repro.graph.{GraphGen, SocialGraph}
+import repro.jobs.{Fig3TwoItemWelfare, Fig5MultiItemWelfare}
 
 class ExperimentsSpec extends AnyFunSuite with SparkSpec {
 
@@ -66,15 +67,28 @@ class ExperimentsSpec extends AnyFunSuite with SparkSpec {
   }
 
   test("budget grids match the paper's sweeps") {
-    assert(Experiments.twoItemBudgetGrid(uniform = true).map(_.toSeq) ==
+    assert(Fig3TwoItemWelfare.budgetGrid(uniform = true).map(_.toSeq) ==
       Seq(Seq(10, 10), Seq(20, 20), Seq(30, 30), Seq(40, 40), Seq(50, 50)))
-    assert(Experiments.twoItemBudgetGrid(uniform = false).map(_.toSeq) ==
+    assert(Fig3TwoItemWelfare.budgetGrid(uniform = false).map(_.toSeq) ==
       Seq(Seq(70, 30), Seq(70, 50), Seq(70, 70), Seq(70, 90), Seq(70, 110)))
-    assert(Experiments.multiItemTotalGrid == Seq(500, 600, 700, 800, 900, 1000))
+    assert(Fig5MultiItemWelfare.totalGrid == Seq(500, 600, 700, 800, 900, 1000))
   }
 
-  test("printTable renders without error") {
-    Experiments.printTable("smoke", Seq("a", "b"), Seq(Seq(1, 2.5), Seq("x", 3.0)))
+  test("printTable pads each column to its widest cell and prints Doubles to one decimal") {
+    val out = new java.io.ByteArrayOutputStream
+    Console.withOut(out) {
+      Experiments.printTable("smoke", Seq("a", "bb"), Seq(Seq[Any](1, 2.5), Seq("xyz", 3.0), Seq(-0.04, 12345.67)))
+    }
+    assert(out.toString.split("\n", -1).toSeq == Seq(
+      "",
+      "== smoke ==",
+      "| a    | bb      |",
+      "|------|---------|",
+      "| 1    | 2.5     |",
+      "| xyz  | 3.0     |",
+      "| -0.0 | 12345.7 |",
+      "",
+    ))
   }
 
   test("concurrent first requests for a network share one build") {
