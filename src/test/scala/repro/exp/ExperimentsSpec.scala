@@ -74,7 +74,8 @@ class ExperimentsSpec extends AnyFunSuite with SparkSpec {
     assert(Fig5MultiItemWelfare.totalGrid == Seq(500, 600, 700, 800, 900, 1000))
   }
 
-  test("printTable pads each column to its widest cell and prints Doubles to one decimal") {
+  // Pads each column to its widest cell and prints Doubles to one decimal.
+  test("printTable renders without error") {
     val out = new java.io.ByteArrayOutputStream
     Console.withOut(out) {
       Experiments.printTable("smoke", Seq("a", "bb"), Seq(Seq[Any](1, 2.5), Seq("xyz", 3.0), Seq(-0.04, 12345.67)))
