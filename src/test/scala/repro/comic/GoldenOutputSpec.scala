@@ -7,7 +7,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.core.{Allocation, Configs}
 import repro.epic.EpicSimulator
 import repro.graph.{GraphGen, SocialGraph}
-import repro.im.{ICRRSampler, RRSets}
+import repro.im.{ICRRSampler, RRSampler, RRSets}
 
 /** Golden outputs of every graph traversal: IC RR sets, the Com-IC RR
   * samplers and forward spread, EPIC diffusion and Com-IC simulation, each
@@ -48,19 +48,38 @@ class GoldenOutputSpec extends AnyFunSuite {
   }
 
   test("RR-SIM+ and RR-CIM samples") {
-    val seeds = hubs(undirected, 20)
+    /** RR-SIM+ and RR-CIM digests of 1000 samples each, with `seeds` as the complement's seeds. */
+    def samples(g: SocialGraph, seeds: Array[Int], gap: Gap): (String, String) = {
+      def draws(sampler: RRSampler, salt: Long): String = digest { d =>
+        (0 until 1000).foreach(i => d.ints(sampler.sample(new SplittableRandom(RRSets.mix(salt, i.toLong)))))
+      }
+      (draws(new ComicBaselines.RRSimSampler(g, seeds, gap), 23),
+        draws(new ComicBaselines.RRCimSampler(g, seeds, gap), 29))
+    }
     for ((cfg, sim, cim) <- Seq(
            (Configs.config1, "8dcd2ef5359b2bd8", "d59330d739da0b7a"),
            (Configs.config3, "0c11be516f0cf282", "f17bdcabce616363"))) {
-      val simSampler = new ComicBaselines.RRSimSampler(undirected, seeds, cfg.gap)
-      val cimSampler = new ComicBaselines.RRCimSampler(undirected, seeds, cfg.gap)
-      val hSim = digest { d =>
-        (0 until 1000).foreach(i => d.ints(simSampler.sample(new SplittableRandom(RRSets.mix(23, i.toLong)))))
-      }
-      val hCim = digest { d =>
-        (0 until 1000).foreach(i => d.ints(cimSampler.sample(new SplittableRandom(RRSets.mix(29, i.toLong)))))
-      }
-      assert((hSim, hCim) == ((sim, cim)), s"config ${cfg.no}")
+      assert(samples(undirected, hubs(undirected, 20), cfg.gap) == ((sim, cim)), s"undirected, config ${cfg.no}")
+    }
+    for ((cfg, sim, cim) <- Seq(
+           (Configs.config1, "76055a42f5e775df", "1131b956fa726512"),
+           (Configs.config3, "d07ea4ce700954d4", "35f2ed7a23d374ee"))) {
+      assert(samples(directed, hubs(directed, 20), cfg.gap) == ((sim, cim)), s"directed, config ${cfg.no}")
+    }
+    // Arc 2 -> 3 appears twice at different probabilities; seeds 0 and 6.
+    val dup = SocialGraph.fromEdgesWithProb("golden-dup", 10, Array(
+      (0, 1, 0.9), (1, 2, 0.6), (2, 3, 0.2), (2, 3, 0.7), (3, 4, 0.8), (4, 5, 0.5), (5, 6, 0.9),
+      (6, 2, 0.4), (6, 7, 0.5), (7, 3, 0.6), (8, 7, 0.7), (9, 8, 0.5), (5, 9, 0.3), (0, 4, 0.3),
+      (4, 0, 0.6)))
+    for ((name, gap, sim, cim) <- Seq(
+           ("config 1", Configs.config1.gap, "ecfbaa4f2458f142", "489887ac1230b778"),
+           // a substitute GAP with qAB < qA0, whose seeds fail their own
+           // threshold in most worlds (qBA, qAB < 0.5)
+           ("substitute", Gap(qA0 = 0.7, qAB = 0.35, qB0 = 0.6, qBA = 0.45), "ea39cc1fe4f53084", "cd74a758b04a7d06"),
+           // RR-SIM+: B's seeds never adopt (qBA = 0) although every other
+           // node would (qB0 = 1); RR-CIM's B walk is then always empty
+           ("failing seeds", Gap(qA0 = 0.2, qAB = 0.9, qB0 = 1.0, qBA = 0.0), "8902eba371839f52", "12633b178b17a745"))) {
+      assert(samples(dup, Array(0, 6), gap) == ((sim, cim)), name)
     }
   }
 
