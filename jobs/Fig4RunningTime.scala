@@ -13,7 +13,10 @@ import repro.graph.SocialGraph
   * Paper shape: greedyWM and bundle-disj coincide (one IMM call for the
   * single bundle); item-disj pays for a double-budget IMM; the Com-IC
   * algorithms are the slowest by orders of magnitude and time out on
-  * Twitter (mirrored here by skipping them on the stand-in).
+  * Twitter (mirrored here by skipping them on the stand-in). Here they are
+  * still the slowest, but by a small factor (EXPERIMENTS.md): their
+  * samplers answer each adoption question with a reverse reachability
+  * query, not a forward simulation over the whole graph.
   *
   * Usage: `Fig4RunningTime [budget]` (default 50/50).
   */

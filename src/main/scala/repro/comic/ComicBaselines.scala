@@ -12,13 +12,14 @@ import repro.im.{PRIMM, RRSampler}
   * generic PRIMM/IMM engine with Com-IC flavoured RR samplers.
   *
   * Substitution note (DESIGN.md §5.3): when a reverse step asks whether an
-  * intermediate node would adopt, the complementary item's reach is
-  * computed by one forward simulation from its fixed seed set in the same
-  * hashed possible world — without the full second-order reconsideration
-  * echo of the original algorithms. This keeps the two behaviours the
-  * paper reports: seeds collapse onto top spreaders under strong
-  * complementarity, and each sample pays an extra forward-simulation
-  * factor (hence the large runtime gap to greedyWM).
+  * intermediate node would adopt, the complementary item's adoption is
+  * decided as one forward spread from its fixed seed set in the same hashed
+  * possible world would decide it — without the full second-order
+  * reconsideration echo of the original algorithms. This keeps the
+  * behaviour the paper reports: seeds collapse onto top spreaders under
+  * strong complementarity. Each such answer is one reverse reachability
+  * query from the asked node ([[adoptsInSpread]]), not a spread over the
+  * whole graph.
   */
 object ComicBaselines {
 
@@ -26,42 +27,24 @@ object ComicBaselines {
   private val SaltA = 13L
   private val SaltB = 17L
 
-  /** Forward spread of one item over live edges in hashed world `w`:
-    * start from `seeds`, a node adopts iff its hashed threshold passes
-    * `qSelf` (or `qBoost` when `boosted(u)` holds); only adopters
-    * propagate. Returns the adopter set.
+  /** Is the edge `u -> v` of probability `p` live in hashed world `w`? */
+  private[comic] def edgeLive(g: SocialGraph, w: Long, u: Int, v: Int, p: Double): Boolean =
+    hash01(w, SaltEdge, u.toLong * g.n + v) < p
+
+  /** Whether `u` adopts an item spreading over live edges in hashed world
+    * `w` from the seeds flagged in `isSeed`, where a seed or a node informed
+    * by an adopter adopts iff its hashed threshold (salted `salt`) is below
+    * `q(node)`, and only adopters inform. That is: `u` passes its own
+    * threshold, and a seed reaches `u` over live edges through nodes that
+    * pass theirs — a reverse query from `u` that stops at the first seed.
     */
-  private[comic] def forwardSpread(g: SocialGraph, w: Long, seeds: Array[Int],
-                                   qSelf: Double, qBoost: Double,
-                                   boosted: Int => Boolean,
-                                   salt: Long): Array[Boolean] = {
-    val adopted = new Array[Boolean](g.n)
-    val informed = new Array[Boolean](g.n)
-    var frontier = scala.collection.mutable.ArrayBuffer.empty[Int]
-    def adopts(u: Int): Boolean =
-      hash01(w, u.toLong, salt) < (if (boosted(u)) qBoost else qSelf)
-    seeds.foreach { v =>
-      if (!informed(v)) {
-        informed(v) = true
-        if (adopts(v)) { adopted(v) = true; frontier += v }
-      }
-    }
-    while (frontier.nonEmpty) {
-      val next = scala.collection.mutable.ArrayBuffer.empty[Int]
-      for (u <- frontier) {
-        var e = g.fwdOff(u)
-        while (e < g.fwdOff(u + 1)) {
-          val v = g.fwdDst(e)
-          if (!informed(v) && hash01(w, SaltEdge, u.toLong * g.n + v) < g.fwdProb(e)) {
-            informed(v) = true
-            if (adopts(v)) { adopted(v) = true; next += v }
-          }
-          e += 1
-        }
-      }
-      frontier = next
-    }
-    adopted
+  private[comic] def adoptsInSpread(g: SocialGraph, w: Long, isSeed: Array[Boolean],
+                                    q: Int => Double, salt: Long)(u: Int): Boolean = {
+    def passes(v: Int): Boolean = hash01(w, v.toLong, salt) < q(v)
+    passes(u) && Traversal.reverseReaches(g, u) { (e, v) =>
+      val t = g.revSrc(e)
+      edgeLive(g, w, t, v, g.revProb(e)) && passes(t)
+    }(isSeed(_))
   }
 
   /** Reverse BFS from `root` over live edges, passing only through nodes
@@ -73,24 +56,39 @@ object ComicBaselines {
     if (!adopts(root)) Array.empty
     else Traversal.reverseReach(g, root) { (e, v) =>
       val u = g.revSrc(e)
-      hash01(w, SaltEdge, u.toLong * g.n + v) < g.revProb(e) && adopts(u)
+      edgeLive(g, w, u, v, g.revProb(e)) && adopts(u)
     }
 
-  /** RR sampler for item A given fixed seeds of the complement B:
-    * forward-simulate B's adopters in the world, then reverse-collect the
-    * nodes from which a seeded A would reach (and be adopted by) the root.
+  /** Seed flags per node of `g`; every seed must be a node of `g`. */
+  private def seedFlags(g: SocialGraph, seeds: Array[Int]): Array[Boolean] = {
+    val flags = new Array[Boolean](g.n)
+    seeds.foreach { s =>
+      require(s >= 0 && s < g.n, s"seed $s outside [0, ${g.n})")
+      flags(s) = true
+    }
+    flags
+  }
+
+  /** RR sampler for item A given fixed seeds of the complement B: the
+    * nodes from which a seeded A would reach (and be adopted by) the root,
+    * where B's adopters in the world adopt A at the boosted rate.
     */
   final class RRSimSampler(g: SocialGraph, seedsB: Array[Int], gap: Gap) extends RRSampler {
-    private val isSeedB = Array.tabulate(g.n)(seedsB.toSet)
+    private val isSeedB = seedFlags(g, seedsB)
+    private val qALow = math.min(gap.qA0, gap.qAB)
+    private val qAHigh = math.max(gap.qA0, gap.qAB)
     def sample(rng: SplittableRandom): Array[Int] = {
       val w = rng.nextLong()
       val root = rng.nextInt(g.n)
-      // B's spread, with its own seeds boosted (the mutual-complement
-      // fixed point: A seeds end up co-located with B's — see DESIGN.md);
-      // B's adopters then boost A along the reverse walk.
-      val bAdopters = forwardSpread(g, w, seedsB, gap.qB0, gap.qBA, u => isSeedB(u), SaltB)
-      def adoptsA(u: Int): Boolean =
-        hash01(w, u.toLong, SaltA) < (if (bAdopters(u)) gap.qAB else gap.qA0)
+      // B spreads with its own seeds boosted (the mutual-complement fixed
+      // point: A seeds end up co-located with B's — see DESIGN.md); B's
+      // adoption matters only when A's threshold lies between its two GAP
+      // probabilities.
+      val adoptsB = adoptsInSpread(g, w, isSeedB, u => if (isSeedB(u)) gap.qBA else gap.qB0, SaltB) _
+      def adoptsA(u: Int): Boolean = {
+        val h = hash01(w, u.toLong, SaltA)
+        h < qALow || (h < qAHigh && h < (if (adoptsB(u)) gap.qAB else gap.qA0))
+      }
       reverseAdoptingSet(g, w, root, adoptsA)
     }
   }
@@ -100,13 +98,13 @@ object ComicBaselines {
     * fixed seed set.
     */
   final class RRCimSampler(g: SocialGraph, seedsA: Array[Int], gap: Gap) extends RRSampler {
+    private val isSeedA = seedFlags(g, seedsA)
     def sample(rng: SplittableRandom): Array[Int] = {
       val w = rng.nextLong()
       val root = rng.nextInt(g.n)
-      val aPotential = forwardSpread(g, w, seedsA, gap.qAB, gap.qAB, _ => true, SaltA)
-      // Root must be A-reachable and adopt A once boosted by B.
-      if (!aPotential(root)) return Array.empty
-      if (hash01(w, root.toLong, SaltA) >= gap.qAB) return Array.empty
+      // Root must adopt A once boosted by B (its own threshold, checked
+      // first) and be A-reachable.
+      if (!adoptsInSpread(g, w, isSeedA, _ => gap.qAB, SaltA)(root)) return Array.empty
       def adoptsB(u: Int): Boolean = hash01(w, u.toLong, SaltB) < gap.qBA
       reverseAdoptingSet(g, w, root, adoptsB)
     }

@@ -26,7 +26,9 @@ object Experiments {
   /** Monte-Carlo runs per welfare estimate (overridable for quick runs). */
   def mcRuns: Int = sys.env.getOrElse("REPRO_MC_RUNS", "40").toInt
 
-  /** RR-set cap for the Com-IC baselines (they are intentionally slow). */
+  /** RR-set cap for the Com-IC baselines (most of their RR sets are empty,
+    * so they draw many more than IMM does).
+    */
   def comicMaxRR: Int = sys.env.getOrElse("REPRO_COMIC_MAX_RR", "120000").toInt
 
   final case class AlgoRun(

@@ -3,14 +3,15 @@ package repro.graph
 import scala.collection.mutable.ArrayBuilder
 
 /** The two graph traversals every diffusion model shares: the reverse BFS
-  * behind all RR-set samplers and the forward frontier loop behind EPIC and
-  * Com-IC diffusion. Callers draw edge coins lazily from a live RNG inside
-  * the callbacks, so each kernel's call order is part of its contract:
-  * changing it changes every seeded result.
+  * behind all RR-set samplers (and the Com-IC samplers' adoption queries)
+  * and the forward frontier loop behind EPIC and Com-IC diffusion. Callers
+  * draw edge coins lazily from a live RNG inside the callbacks, so each
+  * kernel's call order is part of its contract: changing it changes every
+  * seeded result.
   */
 object Traversal {
 
-  /** Per-thread working memory of [[reverseReach]]: one visited flag per
+  /** Per-thread working memory of one reverse BFS: one visited flag per
     * node (all false between calls; grown when a larger graph comes) and
     * the BFS queue (grown on demand).
     */
@@ -19,7 +20,11 @@ object Traversal {
     var queue = new Array[Int](64)
     var busy = false
   }
-  private val scratch = ThreadLocal.withInitial[Scratch](() => new Scratch)
+  // One scratch per kernel, so that a `reverseReaches` query can run inside
+  // a `reverseReach` callback.
+  private val reachScratch = ThreadLocal.withInitial[Scratch](() => new Scratch)
+  private val queryScratch = ThreadLocal.withInitial[Scratch](() => new Scratch)
+  private val noTarget: Int => Boolean = _ => false
 
   /** Nodes that reach `root` over live reverse edges, in BFS order with
     * `root` first. Expanding node `w`, the in-edges `e` of `w` are scanned
@@ -28,12 +33,32 @@ object Traversal {
     *
     * The traversal runs in per-thread scratch arrays, cleared through the
     * returned members, so concurrent calls on different threads are
-    * independent. `live` must not call `reverseReach` itself: a nested call
-    * on the same thread throws.
+    * independent. `live` may call [[reverseReaches]] but not `reverseReach`
+    * itself: a nested call on the same thread throws.
     */
   def reverseReach(g: SocialGraph, root: Int)(live: (Int, Int) => Boolean): Array[Int] = {
-    val s = scratch.get
-    require(!s.busy, "reverseReach re-entered from its live callback")
+    val s = reachScratch.get
+    val size = search(g, root, s, "reverseReach", live, noTarget)
+    java.util.Arrays.copyOf(s.queue, size)
+  }
+
+  /** Whether a node for which `target` holds reaches `from` (or is `from`)
+    * over live reverse edges: the walk of [[reverseReach]] from `from`,
+    * stopped at the first node added for which `target` holds.
+    *
+    * It has its own per-thread scratch, so a `reverseReach` callback may
+    * call it; its own `live` must not call `reverseReaches` again.
+    */
+  def reverseReaches(g: SocialGraph, from: Int)(live: (Int, Int) => Boolean)(target: Int => Boolean): Boolean =
+    search(g, from, queryScratch.get, "reverseReaches", live, target) < 0
+
+  /** The reverse BFS behind both kernels, in scratch `s`. Returns the
+    * number of nodes visited (left in `s.queue`), or -1 once `target`
+    * holds for a visited node.
+    */
+  private def search(g: SocialGraph, root: Int, s: Scratch, kernel: String,
+                     live: (Int, Int) => Boolean, target: Int => Boolean): Int = {
+    require(!s.busy, s"$kernel re-entered from its live callback")
     if (s.seen.length < g.n) s.seen = new Array[Boolean](g.n)
     val seen = s.seen
     var queue = s.queue
@@ -42,23 +67,25 @@ object Traversal {
     s.busy = true
     var size = 1
     try {
+      var found = target(root)
       var head = 0
-      while (head < size) {
+      while (head < size && !found) {
         val w = queue(head)
         var e = g.revOff(w)
         val end = g.revOff(w + 1)
-        while (e < end) {
+        while (e < end && !found) {
           val u = g.revSrc(e)
           if (!seen(u) && live(e, w)) {
             if (size == queue.length) { queue = java.util.Arrays.copyOf(queue, size * 2); s.queue = queue }
             queue(size) = u; size += 1
             seen(u) = true
+            found = target(u)
           }
           e += 1
         }
         head += 1
       }
-      java.util.Arrays.copyOf(queue, size)
+      if (found) -1 else size
     } finally {
       var i = 0
       while (i < size) { seen(queue(i)) = false; i += 1 }

@@ -81,6 +81,15 @@ class ComICSpec extends AnyFunSuite with PropHelpers {
     assert(math.abs(q - Gaussian.cdf(1.0 / math.sqrt(2))) < 0.01, s"q=$q")
   }
 
+  test("GAP rejects probabilities outside [0, 1]") {
+    for (bad <- Seq(-0.1, 1.5, Double.NaN); slot <- 0 until 4) {
+      val q = Array.fill(4)(0.5)
+      q(slot) = bad
+      intercept[IllegalArgumentException](Gap(q(0), q(1), q(2), q(3)))
+    }
+    assert(Gap(0.0, 1.0, 0.0, 1.0).qAB == 1.0)
+  }
+
   // --- Com-IC diffusion simulator --------------------------------------
 
   private val chain = SocialGraph.fromEdgesWithProb("chain", 3,

@@ -17,7 +17,8 @@ import repro.im.{ICRRSampler, RRSampler, RRSets}
   * the order in which they visit edges or settle nodes changes these
   * hashes. A refactor of the traversal code must leave them unchanged. The
   * suite lives in `repro.comic` to reach the package-private
-  * `forwardSpread` and `reverseAdoptingSet`.
+  * `reverseAdoptingSet`; `forwardSpread` is the test-scope reference of
+  * the samplers' adoption queries (`ComicReference`).
   */
 class GoldenOutputSpec extends AnyFunSuite {
 
@@ -90,7 +91,7 @@ class GoldenOutputSpec extends AnyFunSuite {
     hubs(g, 50).foreach(boosted(_) = true)
     val h = digest { d =>
       (0 until 200).foreach { w =>
-        d.flags(ComicBaselines.forwardSpread(g, w.toLong, seeds, 0.3, 0.9, boosted(_), 13))
+        d.flags(ComicReference.forwardSpread(g, w.toLong, seeds, 0.3, 0.9, boosted(_), 13))
         d.ints(ComicBaselines.reverseAdoptingSet(g, w.toLong, (w * 7) % g.n,
           u => EpicSimulator.hash01(w.toLong, u.toLong, 19) < 0.8))
       }

@@ -7,10 +7,11 @@ import org.scalatest.funsuite.AnyFunSuite
 
 import repro.im.RRSets
 
-/** `Traversal.reverseReach` keeps its visited flags and queue in per-thread
-  * scratch arrays. These tests check that the scratch never leaks state
-  * between calls: across threads, across graphs of different sizes and
-  * after a callback throws.
+/** `Traversal.reverseReach` and `Traversal.reverseReaches` keep their
+  * visited flags and queues in per-thread scratch arrays. These tests check
+  * that the scratch never leaks state between calls: across threads, across
+  * graphs of different sizes, after a callback throws and when a query runs
+  * inside a walk's callback.
   */
 class TraversalSpec extends AnyFunSuite {
 
@@ -22,6 +23,14 @@ class TraversalSpec extends AnyFunSuite {
     val rng = new SplittableRandom(RRSets.mix(19, i.toLong))
     Traversal.reverseReach(g, rng.nextInt(g.n))((e, _) => rng.nextDouble() < g.revProb(e)).toSeq
   }
+
+  /** Live edges of query `i`: a quarter of all edges, fixed per query. */
+  private def queryLive(i: Int): (Int, Int) => Boolean = (e, _) => (RRSets.mix(i.toLong, e.toLong) & 3L) == 0L
+
+  private def queryTarget(u: Int): Boolean = u % 40 == 0
+
+  /** Query `i`: does a multiple of 40 reach node `i` over query `i`'s live edges? */
+  private def query(g: SocialGraph, i: Int): Boolean = Traversal.reverseReaches(g, i % g.n)(queryLive(i))(queryTarget)
 
   /** Nodes with in-edges from at least three other nodes. */
   private def wellFed(g: SocialGraph): Seq[Int] =
@@ -91,5 +100,78 @@ class TraversalSpec extends AnyFunSuite {
       (0 until 50).map(draw(small, _))
     }
     assert(after == expected)
+  }
+
+  test("reverseReaches answers whether reverseReach's walk meets the target") {
+    val answers = (0 until 2000).map { i =>
+      val walk = Traversal.reverseReach(big, i % big.n)(queryLive(i))
+      assert(query(big, i) == walk.exists(queryTarget), s"query $i")
+      walk.exists(queryTarget)
+    }
+    assert(answers.contains(true) && answers.contains(false))
+  }
+
+  test("reverseReaches inside a reverseReach callback equals reverseReaches alone") {
+    val ids = 0 until 300
+    val alone = onNewThread(ids.map(i => draw(big, i) -> (0 until 5).map(j => query(big, 5 * i + j))))
+    val nested = onNewThread(ids.map { i =>
+      val rng = new SplittableRandom(RRSets.mix(19, i.toLong))
+      var j = 0
+      val answers = Array.newBuilder[Boolean]
+      val walk = Traversal.reverseReach(big, rng.nextInt(big.n)) { (e, _) =>
+        if (j < 5) { answers += query(big, 5 * i + j); j += 1 }
+        rng.nextDouble() < big.revProb(e)
+      }
+      walk.toSeq -> answers.result().toSeq
+    })
+    // every draw whose walk made five callbacks asked all five queries
+    assert(nested.zip(alone).forall { case ((w1, a1), (w2, a2)) => w1 == w2 && a1 == a2.take(a1.length) })
+    assert(nested.count(_._2.length == 5) > 100)
+  }
+
+  test("concurrent reverseReaches queries on four threads equal serial queries") {
+    val ids = 0 until 4000
+    val serial = onNewThread(ids.map(query(big, _)))
+    val pool = Executors.newFixedThreadPool(4)
+    try {
+      val parts = (0 until 4).map { t =>
+        pool.submit(new Callable[Seq[(Int, Boolean)]] {
+          def call(): Seq[(Int, Boolean)] = ids.filter(_ % 4 == t).map(i => i -> query(big, i))
+        })
+      }
+      assert(parts.flatMap(_.get()).sortBy(_._1).map(_._2) == serial)
+    } finally {
+      pool.shutdown()
+      pool.awaitTermination(10, TimeUnit.SECONDS)
+    }
+  }
+
+  test("a throwing reverseReaches callback leaves the scratch clean") {
+    val ids = 0 until 500
+    val expected = onNewThread((ids.map(query(small, _)), ids.map(query(big, _))))
+    val after = onNewThread {
+      wellFed(big).take(200).foreach { from =>
+        var calls = 0
+        intercept[IllegalStateException] {
+          Traversal.reverseReaches(big, from) { (_, _) =>
+            calls += 1
+            if (calls == 3) throw new IllegalStateException("boom")
+            true
+          }(_ => false)
+        }
+      }
+      (ids.map(query(small, _)), ids.map(query(big, _)))
+    }
+    assert(after == expected)
+  }
+
+  test("re-entering reverseReaches from its callback is rejected") {
+    val after = onNewThread {
+      intercept[IllegalArgumentException] {
+        Traversal.reverseReaches(big, wellFed(big).head)((_, _) => query(small, 1))(_ => false)
+      }
+      (0 until 50).map(query(small, _))
+    }
+    assert(after == onNewThread((0 until 50).map(query(small, _))))
   }
 }
