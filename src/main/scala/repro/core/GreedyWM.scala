@@ -18,12 +18,12 @@ object GreedyWM {
   final case class Result(alloc: Allocation.Alloc, orderedSeeds: Array[Int])
 
   def allocate(spark: SparkSession, g: SocialGraph, budgets: Array[Int],
-               eps: Double = 0.5, ell: Double = 1.0, seed: Long = 7): Result = {
+               eps: Double = 0.5, seed: Long = 7): Result = {
     require(budgets.nonEmpty)
     // PRIMM wants the budget vector sorted non-increasingly; duplicates
     // add no information, so pass the distinct sorted budgets.
     val distinctDesc = budgets.distinct.sorted(Ordering[Int].reverse).toSeq
-    val order = PRIMM.run(spark, g, distinctDesc, eps, ell, seed).seeds
+    val order = PRIMM.run(spark, g, distinctDesc, eps, seed = seed).seeds
     val alloc = Allocation.fromItemSeeds(budgets.map(b => order.take(b)).toSeq)
     Result(alloc, order)
   }

@@ -1,11 +1,9 @@
 package repro.epic
 
-import java.util.SplittableRandom
-
 import org.apache.spark.sql.SparkSession
 
+import repro.exec.SeededBatch
 import repro.graph.SocialGraph
-import repro.im.RRSets
 import repro.items.UtilityModel
 
 /** Monte-Carlo estimate of expected social welfare `rho(S)` and expected
@@ -13,9 +11,9 @@ import repro.items.UtilityModel
   *
   * Each run is an independent possible world: run `r` samples a noise
   * world (utility table) and an edge world from `mix(seed, r)` and plays
-  * the deterministic EPIC diffusion. Runs are embarrassingly parallel, so
-  * they are distributed over Spark with the graph, allocation and utility
-  * model broadcast once.
+  * the deterministic EPIC diffusion. Runs are embarrassingly parallel:
+  * they are one [[SeededBatch]] over the broadcast graph, allocation and
+  * utility model.
   */
 object Welfare {
 
@@ -27,21 +25,13 @@ object Welfare {
 
   def estimate(spark: SparkSession, g: SocialGraph, alloc: Map[Int, Int],
                model: UtilityModel, runs: Int, seed: Long = 42): Estimate = {
-    val sc = spark.sparkContext
-    val bG = sc.broadcast(g)
-    val bAlloc = sc.broadcast(alloc)
-    val bModel = sc.broadcast(model)
-    val rows =
-      try sc
-        .parallelize(0 until runs, math.min(runs, sc.defaultParallelism * 2))
-        .map { r =>
-          val rng = new SplittableRandom(RRSets.mix(seed, r.toLong))
-          val util = bModel.value.sampleUtilityTable(rng)
-          val adoption = EpicSimulator.diffuse(bG.value, bAlloc.value, util, rng)
-          (EpicSimulator.welfare(util, adoption), EpicSimulator.adoptionCount(adoption))
-        }
-        .collect()
-      finally { bG.destroy(); bAlloc.destroy(); bModel.destroy() }
+    require(runs >= 1, s"welfare needs at least one run, got $runs")
+    // The pattern shadows the outer values, so the task closure cannot capture them.
+    val rows = SeededBatch.run(spark, (g, alloc, model), seed) { case ((g, alloc, model), rng) =>
+      val util = model.sampleUtilityTable(rng)
+      val adoption = EpicSimulator.diffuse(g, alloc, util, rng)
+      (EpicSimulator.welfare(util, adoption), EpicSimulator.adoptionCount(adoption))
+    }(draw => draw(0, runs))
     Estimate(rows.map(_._1), rows.map(_._2))
   }
 }

@@ -44,23 +44,21 @@ object Experiments {
   /** Compute the allocation of `algo` for `cfg` and `budgets`. */
   def allocate(algo: String, spark: SparkSession, g: SocialGraph,
                cfg: Configs.Config, budgets: Array[Int],
-               eps: Double = 0.5, ell: Double = 1.0, seed: Long = 7): Allocation.Alloc =
+               eps: Double = 0.5, seed: Long = 7): Allocation.Alloc =
     algo match {
       case AlgoGreedyWM =>
-        GreedyWM.allocate(spark, g, budgets, eps, ell, seed).alloc
+        GreedyWM.allocate(spark, g, budgets, eps, seed).alloc
       case AlgoItemDisj =>
-        Baselines.itemDisj(spark, g, budgets, eps, ell, seed)
+        Baselines.itemDisj(spark, g, budgets, eps, seed)
       case AlgoBundleDisj =>
-        Baselines.bundleDisj(spark, g, budgets, cfg.detUtil, eps, ell, seed)
+        Baselines.bundleDisj(spark, g, budgets, cfg.detUtil, eps, seed)
       case AlgoRRSimPlus =>
         require(budgets.length == 2, "RR-SIM+ supports exactly two items")
-        val (sA, sB) = ComicBaselines.rrSimPlus(spark, g, budgets(0), budgets(1), cfg.gap,
-          eps, ell, seed, maxRR = comicMaxRR)
+        val (sA, sB) = ComicBaselines.rrSimPlus(spark, g, budgets(0), budgets(1), cfg.gap, eps, seed, comicMaxRR)
         Allocation.fromItemSeeds(Seq(sA, sB))
       case AlgoRRCim =>
         require(budgets.length == 2, "RR-CIM supports exactly two items")
-        val (sA, sB) = ComicBaselines.rrCim(spark, g, budgets(0), budgets(1), cfg.gap,
-          eps, ell, seed, maxRR = comicMaxRR)
+        val (sA, sB) = ComicBaselines.rrCim(spark, g, budgets(0), budgets(1), cfg.gap, eps, seed, comicMaxRR)
         Allocation.fromItemSeeds(Seq(sA, sB))
       case other => sys.error(s"unknown algorithm $other")
     }

@@ -12,8 +12,8 @@ import org.apache.spark.sql.functions._
   * are supplied.
   *
   * The whole structure is a value object of primitive arrays so it can be
-  * broadcast to Spark executors cheaply (a few MB up to tens of MB for the
-  * largest stand-in network).
+  * broadcast to Spark executors: a few MB for the small stand-ins, about
+  * 84 MB for the Twitter stand-in (50K nodes, 3.5M edges).
   *
   * @param name       human-readable dataset name
   * @param n          number of nodes; node ids are `0 until n`

@@ -2,6 +2,7 @@ package repro.im
 
 import org.apache.spark.sql.SparkSession
 
+import repro.exec.SeededBatch
 import repro.graph.SocialGraph
 
 /** PRIMM — PRefix-preserving IMM (Algorithm 3) — and its single-budget
@@ -68,13 +69,10 @@ object PRIMM {
     def lambdaPrime(k: Int): Double =
       (2 + 2 * epsP / 3) * (logBinom(n, k) + ellP * lnN + math.log(math.log(n.toDouble) / math.log(2))) * n / (epsP * epsP)
 
-    RRSets.broadcasting(spark, sampler.getOrElse(new ICRRSampler(g))) { rrSampler =>
+    SeededBatch.run(spark, sampler.getOrElse(new ICRRSampler(g)), seed)(_.sample(_)) { draw =>
       val rr = new scala.collection.mutable.ArrayBuffer[Array[Int]]()
-      def generateUntil(target: Double): Unit = {
-        val capped = math.min(target, maxRR.toDouble)
-        val need = math.ceil(capped).toLong - rr.length
-        if (need > 0) rr ++= RRSets.generate(spark, rrSampler, need, seed, offset = rr.length.toLong)
-      }
+      def generateUntil(target: Double): Unit =
+        rr ++= draw(rr.length.toLong, math.ceil(math.min(target, maxRR.toDouble)).toLong - rr.length)
 
       // Greedy picks do not depend on k, so one selection of bMax seeds per
       // collection size answers every budget: its k-prefix and covered(k)

@@ -2,9 +2,11 @@ package repro.im
 
 import java.util.SplittableRandom
 
+import org.apache.spark.SparkException
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.{PropHelpers, SparkSpec}
+import repro.exec.SeededBatch
 import repro.graph.SocialGraph
 
 class RRSetsSpec extends AnyFunSuite with SparkSpec with PropHelpers {
@@ -77,26 +79,25 @@ class RRSetsSpec extends AnyFunSuite with SparkSpec with PropHelpers {
   test("generate with zero count returns empty") {
     val sampler = new ICRRSampler(chain)
     assert(RRSets.generate(spark, sampler, 0, 1, 0).isEmpty)
+    assert(RRSets.generate(spark, sampler, -3, 1, 5).isEmpty)
   }
 
   test("calls sharing one broadcast match calls that broadcast their own") {
     val g = repro.graph.GraphGen.uniformDirected("t", 40, 200, seed = 9)
     val sampler = new ICRRSampler(g)
-    val shared = RRSets.broadcasting(spark, sampler) { b =>
-      RRSets.generate(spark, b, count = 10, seed = 5, offset = 0) ++ RRSets.generate(spark, b, count = 10, seed = 5, offset = 10)
-    }
+    val shared = SeededBatch.run(spark, sampler, 5L)(_.sample(_))(draw => draw(0, 10) ++ draw(10, 10))
     val own = RRSets.generate(spark, sampler, count = 20, seed = 5, offset = 0)
     assert(shared.map(_.toSeq).toSeq == own.map(_.toSeq).toSeq)
   }
 
   test("the broadcast is destroyed when sampling fails") {
-    val failing = new FailingSampler
-    var handle: Option[org.apache.spark.broadcast.Broadcast[RRSampler]] = None
-    intercept[org.apache.spark.SparkException] {
-      RRSets.broadcasting(spark, failing) { b => handle = Some(b); RRSets.generate(spark, b, 4, 1, 0) }
+    var handle: Option[(Long, Long) => Array[Array[Int]]] = None
+    intercept[SparkException] {
+      SeededBatch.run(spark, new FailingSampler, 1L)(_.sample(_)) { draw => handle = Some(draw); draw(0, 4) }
     }
-    // a destroyed broadcast refuses to hand out its value
-    intercept[org.apache.spark.SparkException](handle.get.value)
+    // a destroyed broadcast cannot ship with a later batch
+    val e = intercept[SparkException](handle.get(0, 4))
+    assert(Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null).exists(_.getMessage.contains("destroyed")), e)
   }
 }
 
