@@ -57,14 +57,13 @@ object Table4Configs {
       (10, Configs.config10(k), "Level-wise", "Uniform"),
     )
     val failed = cases.flatMap { case (no, cfg, _, _) =>
-      val table = cfg.model.valuation.toTable
       Experiments.unmet(Seq(
-        SetFunctions.isMonotone(table) -> s"config $no is not monotone",
-        SetFunctions.isSupermodular(table) -> s"config $no is not supermodular",
+        SetFunctions.isMonotone(cfg.model.valuation) -> s"config $no is not monotone",
+        SetFunctions.isSupermodular(cfg.model.valuation) -> s"config $no is not supermodular",
       ))
     }
     val rows = cases.map { case (no, cfg, value, budget) =>
-      val positive = (1 until (1 << k)).count(cfg.detUtil(_) >= 0)
+      val positive = cfg.detUtil.tail.count(_ >= 0)
       Seq[Any](no, value, budget, s"$positive / ${(1 << k) - 1} itemsets with detU >= 0")
     }
     Table("Table 4: multiple item configurations",

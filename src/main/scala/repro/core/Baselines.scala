@@ -43,20 +43,16 @@ object Baselines {
     var used = Set.empty[Int]
     var bundles = Vector.empty[(Int, Array[Int])] // (mask, seeds)
     var immCalls = 0L
+    val order = Blocks.itemOrder(budgets)
 
     def nextBundle(): Option[Int] = {
       val active = (0 until k).filter(remaining(_) > 0)
       if (active.isEmpty) return None
       val activeMask = active.foldLeft(0)((m, i) => m | (1 << i))
-      val order = Blocks.itemOrder(budgets)
-      val rankOf = new Array[Int](k)
-      order.zipWithIndex.foreach { case (orig, r) => rankOf(orig) = r }
-      def rankedMask(m: Int): Int =
-        Itemsets.items(m).foldLeft(0)((acc, i) => acc | (1 << rankOf(i)))
       Itemsets
         .nonEmptySubsets(activeMask)
         .filter(m => detUtil(m) >= 0)
-        .sortBy(m => (Itemsets.size(m), rankedMask(m)))
+        .sortBy(m => (Itemsets.size(m), Blocks.toRanked(m, order)))
         .headOption
     }
 
@@ -77,7 +73,7 @@ object Baselines {
 
     // Leftover phase: surplus budget first rides existing bundles that do
     // not contain the item, then falls back to fresh IMM seeds.
-    for (i <- Blocks.itemOrder(budgets) if remaining(i) > 0) {
+    for (i <- order if remaining(i) > 0) {
       for ((mask, seeds) <- bundles if remaining(i) > 0 && (mask & (1 << i)) == 0) {
         val fresh = seeds.filterNot(perItem(i).contains)
         val take = fresh.take(remaining(i))

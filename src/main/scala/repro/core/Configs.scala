@@ -30,7 +30,7 @@ object Configs {
 
   private def twoItem(no: Int, v1: Double, v2: Double, v12: Double, uniform: Boolean): Config =
     Config(no, s"Configuration $no",
-      UtilityModel(TwoItemValuation(v1, v2, v12), twoItemPrices, twoItemNoise), uniform)
+      UtilityModel(Valuations.twoItem(v1, v2, v12), twoItemPrices, twoItemNoise), uniform)
 
   val config1: Config = twoItem(1, 1.7, 2.7, 8.0, uniform = true)
   val config2: Config = twoItem(2, 1.7, 2.7, 8.0, uniform = false)
@@ -48,7 +48,7 @@ object Configs {
   /** Config 7: additive utility, every item has deterministic utility 1. */
   def config7(k: Int): Config =
     Config(7, "Configuration 7 (Additive)",
-      UtilityModel(AdditiveValuation(Array.fill(k)(2.0)), Array.fill(k)(1.0), NoiseSpec.uniform(k, 1.0)),
+      UtilityModel(Valuations.additive(Array.fill(k)(2.0)), Array.fill(k)(1.0), NoiseSpec.uniform(k, 1.0)),
       uniformBudgets = true)
 
   /** Configs 8/9: cone — a core item is necessary for positive utility.
@@ -58,7 +58,7 @@ object Configs {
     */
   def configCone(no: Int, k: Int, core: Int): Config =
     Config(no, s"Configuration $no (Cone-${if (no == 8) "max" else "min"})",
-      UtilityModel(ConeValuation(k, core), Array.fill(k)(1.0), NoiseSpec.uniform(k, 1.0)),
+      UtilityModel(Valuations.cone(k, core), Array.fill(k)(1.0), NoiseSpec.uniform(k, 1.0)),
       uniformBudgets = false)
 
   /** Config 10: level-wise random supermodular valuation (Eq. 6). */
@@ -86,7 +86,7 @@ object Configs {
     // cumulative game contribution without / with the controller
     val gamesOnly = Array(0.0, 10.0, 25.0, 45.0) // V(ps)=213, +g: 223, 238, 258
     val withC = Array(7.0, 32.0, 79.5, 89.0) // V(ps,c)=220, 245, 292.5, 302
-    val values = Array.tabulate(1 << k) { mask =>
+    val values = Valuations.tabulate(k) { mask =>
       val hasPs = (mask & 1) != 0
       val hasC = (mask & 2) != 0
       val nGames = Integer.bitCount(mask >> 2)
@@ -95,7 +95,7 @@ object Configs {
     }
     val noise = NoiseSpec(Array(2.0, math.sqrt(2.0), math.sqrt(1.0 / 3), math.sqrt(1.0 / 3), math.sqrt(1.0 / 3)))
     Config(11, "Real parameters (PS4 bundle)",
-      UtilityModel(TableValuation(values), prices, noise), uniformBudgets = false)
+      UtilityModel(values, prices, noise), uniformBudgets = false)
   }
 
   // -------------------------------------------------------------------

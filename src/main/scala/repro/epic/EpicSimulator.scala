@@ -55,7 +55,7 @@ object EpicSimulator {
     val seeds = Array.newBuilder[Int]
     for ((v, mask) <- alloc if mask != 0) {
       desire(v) |= mask
-      val a = Adoption.adoptSeed(util, desire(v))
+      val a = Adoption.adopt(util, desire(v), 0)
       if (a != adoption(v)) { adoption(v) = a; seeds += v }
     }
 

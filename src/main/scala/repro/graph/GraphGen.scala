@@ -45,20 +45,8 @@ object GraphGen {
     val cum = cumWeights(n, alpha)
     val permSrc = permutation(n, new SplittableRandom(seed ^ 0x9E3779B97F4A7C15L))
     val permDst = permutation(n, new SplittableRandom(seed ^ 0xC2B2AE3D27D4EB4FL))
-    val seen = new java.util.HashSet[Long](targetEdges * 2)
-    val edges = new scala.collection.mutable.ArrayBuffer[(Int, Int)](targetEdges)
-    var attempts = 0
-    val maxAttempts = targetEdges.toLong * 20
-    while (edges.length < targetEdges && attempts < maxAttempts) {
-      val u = permSrc(draw(cum, rng))
-      val v = permDst(draw(cum, rng))
-      if (u != v) {
-        val key = u.toLong * n + v
-        if (seen.add(key)) edges += ((u, v))
-      }
-      attempts += 1
-    }
-    SocialGraph.fromEdges(name, n, edges.toArray, undirected = false)
+    distinctArcs(name, n, targetEdges, targetEdges.toLong * 20, undirected = false)(
+      permSrc(draw(cum, rng)), permDst(draw(cum, rng)))
   }
 
   /** Generate an undirected power-law graph: `targetEdges` unique pairs,
@@ -69,21 +57,44 @@ object GraphGen {
     val rng = new SplittableRandom(seed)
     val cum = cumWeights(n, alpha)
     val perm = permutation(n, new SplittableRandom(seed ^ 0x9E3779B97F4A7C15L))
-    val seen = new java.util.HashSet[Long](targetEdges * 2)
-    val edges = new scala.collection.mutable.ArrayBuffer[(Int, Int)](targetEdges * 2)
-    var attempts = 0
-    val maxAttempts = targetEdges.toLong * 20
-    while (edges.length < targetEdges * 2 && attempts < maxAttempts) {
-      val a = perm(draw(cum, rng))
-      val b = perm(draw(cum, rng))
+    distinctArcs(name, n, targetEdges, targetEdges.toLong * 20, undirected = true)(
+      perm(draw(cum, rng)), perm(draw(cum, rng)))
+  }
+
+  /** Erdős–Rényi-ish small random graph for unit tests. */
+  def uniformDirected(name: String, n: Int, targetEdges: Int, seed: Long = 11): SocialGraph = {
+    val rng = new SplittableRandom(seed)
+    distinctArcs(name, n, targetEdges, targetEdges.toLong * 50, undirected = false)(rng.nextInt(n), rng.nextInt(n))
+  }
+
+  /** The generators' one draw loop: evaluates `src` then `dst` per attempt
+    * until `target` distinct arcs are found or `maxAttempts` attempts are
+    * spent, dropping self-loops and repeats, and builds the weighted-cascade
+    * graph. When `undirected`, a pair counts once whichever way round it is
+    * drawn and pair `i` is stored as arcs `2i = (min, max)` and
+    * `2i+1 = (max, min)`.
+    */
+  private def distinctArcs(name: String, n: Int, target: Int, maxAttempts: Long, undirected: Boolean)
+                          (src: => Int, dst: => Int): SocialGraph = {
+    val width = if (undirected) 2 else 1
+    val us, vs = new Array[Int](target * width)
+    val seen = new java.util.HashSet[Long](target * 2)
+    var found = 0
+    var attempts = 0L
+    while (found < target && attempts < maxAttempts) {
+      val a = src; val b = dst
       if (a != b) {
-        val (u, v) = if (a < b) (a, b) else (b, a)
-        val key = u.toLong * n + v
-        if (seen.add(key)) { edges += ((u, v)); edges += ((v, u)) }
+        val u = if (undirected) math.min(a, b) else a
+        val v = if (undirected) math.max(a, b) else b
+        if (seen.add(u.toLong * n + v)) {
+          us(found * width) = u; vs(found * width) = v
+          if (undirected) { us(found * 2 + 1) = v; vs(found * 2 + 1) = u }
+          found += 1
+        }
       }
       attempts += 1
     }
-    SocialGraph.fromEdges(name, n, edges.toArray, undirected = true)
+    SocialGraph.fromArcs(name, n, us.take(found * width), vs.take(found * width), None, undirected)
   }
 
   private def permutation(n: Int, rng: SplittableRandom): Array[Int] = {
@@ -95,20 +106,6 @@ object GraphGen {
       i -= 1
     }
     p
-  }
-
-  /** Erdős–Rényi-ish small random graph for unit tests. */
-  def uniformDirected(name: String, n: Int, targetEdges: Int, seed: Long = 11): SocialGraph = {
-    val rng = new SplittableRandom(seed)
-    val seen = new java.util.HashSet[Long](targetEdges * 2)
-    val edges = new scala.collection.mutable.ArrayBuffer[(Int, Int)](targetEdges)
-    var attempts = 0
-    while (edges.length < targetEdges && attempts < targetEdges * 50) {
-      val u = rng.nextInt(n); val v = rng.nextInt(n)
-      if (u != v && seen.add(u.toLong * n + v)) edges += ((u, v))
-      attempts += 1
-    }
-    SocialGraph.fromEdges(name, n, edges.toArray)
   }
 
   // ---------------------------------------------------------------------

@@ -77,46 +77,50 @@ final case class SocialGraph(
 
 object SocialGraph {
 
-  /** Build a graph from a list of directed edges with weighted-cascade
-    * probabilities `p(u,v) = 1/d_in(v)`.
+  /** The one CSR builder: arc `i` is `src(i) -> dst(i)` with probability
+    * `prob(i)`, or the weighted-cascade `1 / d_in(dst(i))` when `prob` is
+    * `None`. Each arc is checked to lie in `[0, n)` once, and each node's
+    * arcs keep their input order in both CSRs.
     *
-    * @param undirected label only — callers generating undirected networks
-    *                   must pass both edge directions themselves.
+    * @param undirected label only: callers building undirected networks
+    *                   pass both arc directions themselves.
     */
-  def fromEdges(name: String, n: Int, edges: Array[(Int, Int)], undirected: Boolean = false): SocialGraph = {
-    edges.foreach { case (u, v) =>
-      require(u >= 0 && u < n && v >= 0 && v < n, s"edge ($u,$v) outside [0,$n)")
-    }
-    val inDeg = new Array[Int](n)
-    edges.foreach { case (_, v) => inDeg(v) += 1 }
-    fromEdgesWithProb(name, n, edges.map { case (u, v) => (u, v, 1.0 / inDeg(v)) }, undirected)
-  }
-
-  /** Build a graph from explicit per-edge probabilities. */
-  def fromEdgesWithProb(name: String, n: Int, edges: Array[(Int, Int, Double)], undirected: Boolean = false): SocialGraph = {
-    val m = edges.length
-    val outDeg = new Array[Int](n)
-    val inDeg = new Array[Int](n)
-    edges.foreach { case (u, v, _) =>
-      require(u >= 0 && u < n && v >= 0 && v < n, s"edge ($u,$v) outside [0,$n)")
-      outDeg(u) += 1; inDeg(v) += 1
-    }
+  def fromArcs(name: String, n: Int, src: Array[Int], dst: Array[Int],
+               prob: Option[Array[Double]], undirected: Boolean): SocialGraph = {
+    val m = src.length
+    require(dst.length == m && prob.forall(_.length == m), "src, dst and prob must have one entry per arc")
     val fwdOff = new Array[Int](n + 1)
     val revOff = new Array[Int](n + 1)
-    var i = 0
-    while (i < n) {
-      fwdOff(i + 1) = fwdOff(i) + outDeg(i)
-      revOff(i + 1) = revOff(i) + inDeg(i)
-      i += 1
+    var e = 0
+    while (e < m) {
+      val u = src(e); val v = dst(e)
+      require(u >= 0 && u < n && v >= 0 && v < n, s"edge ($u,$v) outside [0,$n)")
+      fwdOff(u + 1) += 1; revOff(v + 1) += 1
+      e += 1
     }
+    var i = 0
+    while (i < n) { fwdOff(i + 1) += fwdOff(i); revOff(i + 1) += revOff(i); i += 1 }
     val fwdDst = new Array[Int](m); val fwdProb = new Array[Double](m)
     val revSrc = new Array[Int](m); val revProb = new Array[Double](m)
     val fCur = java.util.Arrays.copyOf(fwdOff, n)
     val rCur = java.util.Arrays.copyOf(revOff, n)
-    edges.foreach { case (u, v, p) =>
+    val probs = prob.orNull
+    e = 0
+    while (e < m) {
+      val u = src(e); val v = dst(e)
+      val p = if (probs != null) probs(e) else 1.0 / (revOff(v + 1) - revOff(v))
       fwdDst(fCur(u)) = v; fwdProb(fCur(u)) = p; fCur(u) += 1
       revSrc(rCur(v)) = u; revProb(rCur(v)) = p; rCur(v) += 1
+      e += 1
     }
     SocialGraph(name, n, fwdOff, fwdDst, fwdProb, revOff, revSrc, revProb, undirected)
   }
+
+  /** [[fromArcs]] over `(u, v)` pairs with weighted-cascade probabilities. */
+  def fromEdges(name: String, n: Int, edges: Array[(Int, Int)], undirected: Boolean = false): SocialGraph =
+    fromArcs(name, n, edges.map(_._1), edges.map(_._2), None, undirected)
+
+  /** [[fromArcs]] over `(u, v, p)` triples with explicit probabilities. */
+  def fromEdgesWithProb(name: String, n: Int, edges: Array[(Int, Int, Double)], undirected: Boolean = false): SocialGraph =
+    fromArcs(name, n, edges.map(_._1), edges.map(_._2), Some(edges.map(_._3)), undirected)
 }

@@ -5,9 +5,11 @@ package repro.items
   * Given the utility table of the current possible world, a desire set `R`
   * and the previously adopted set `A ⊆ R`, the node adopts
   * `T* = argmax { U(T) | A ⊆ T ⊆ R, U(T) >= 0 }`, breaking ties in favour
-  * of larger cardinality. By Lemma 2 the union of tied local maxima is
-  * itself a maximum, so the tie-break is implemented by unioning all
-  * argmax sets — which yields the unique maximal optimum.
+  * of larger cardinality. By Lemma 2 the union of tied maxima is itself a
+  * maximum when `U` is supermodular, which makes it the unique maximal
+  * optimum; the rule returns that union whenever it is an argmax, and a
+  * largest-cardinality argmax otherwise (the learned PS4 valuation is not
+  * supermodular, DESIGN.md §5.2).
   */
 object Adoption {
 
@@ -22,24 +24,23 @@ object Adoption {
   def adopt(util: Array[Double], desire: Int, prev: Int): Int = {
     require((prev & ~desire) == 0, "previous adoption must be within the desire set")
     var bestU = util(prev)
-    var bestMask = prev
+    var union = prev // union of the tied maxima
+    var largest = prev // a largest-cardinality maximum
     // Enumerate T = prev | sub for every submask `sub` of desire \ prev.
     val free = desire & ~prev
     var sub = free
     while (sub != 0) {
       val t = prev | sub
       val u = util(t)
-      if (u > bestU + Tol) { bestU = u; bestMask = t }
-      else if (u >= bestU - Tol) bestMask |= t // tie: take the union (Lemma 2)
+      if (u > bestU + Tol) { bestU = u; union = t; largest = t }
+      else if (u >= bestU - Tol) {
+        union |= t
+        if (Integer.bitCount(t) > Integer.bitCount(largest)) largest = t
+      }
       sub = (sub - 1) & free
     }
-    bestMask
+    if (util(union) >= bestU - Tol) union else largest
   }
-
-  /** Seed-time adoption (t = 1): the node desires exactly its allocated
-    * items and has no previous adoption.
-    */
-  def adoptSeed(util: Array[Double], allocated: Int): Int = adopt(util, allocated, 0)
 
   /** True iff `mask` is a local maximum of `util` (its utility is the max
     * over all its subsets) — the invariant of Lemma 3, used in tests.

@@ -12,7 +12,7 @@ package repro.items
   * atomic units with non-negative marginal utility; blocks drive the
   * `bundle-disj`-style reasoning and the approximation analysis (anchors,
   * proposed/effective budgets), all of which are unit-tested against the
-  * paper's worked examples.
+  * paper's worked examples. `bundle-disj` reads `≺` through [[toRanked]].
   */
 object Blocks {
 
@@ -23,8 +23,17 @@ object Blocks {
   def itemOrder(budgets: Array[Int]): Array[Int] =
     budgets.indices.sortBy(i => (-budgets(i), i)).toArray
 
-  /** `s ≺ t` in ranked-mask space. */
-  def precedes(s: Int, t: Int): Boolean = s < t
+  /** Convert an original-item mask to ranked space, where `s ≺ t` iff
+    * `toRanked(s, order) < toRanked(t, order)`.
+    */
+  def toRanked(mask: Int, order: Array[Int]): Int = {
+    var out = 0; var r = 0
+    while (r < order.length) {
+      if ((mask & (1 << order(r))) != 0) out |= 1 << r
+      r += 1
+    }
+    out
+  }
 
   /** Convert a ranked-space mask to original-item space. */
   def rankedToOrigMask(rankedMask: Int, order: Array[Int]): Int = {
@@ -86,13 +95,8 @@ object Blocks {
 
     // Sequence I: non-empty subsets of I*, in ≺ (ranked-numeric) order.
     // Work in ranked space, evaluate utility in original space.
-    val rankOf = new Array[Int](k)
-    order.zipWithIndex.foreach { case (orig, r) => rankOf(orig) = r }
-    var iStarRanked = 0
-    Itemsets.items(iStar).foreach(i => iStarRanked |= 1 << rankOf(i))
-
     var remaining: List[Int] = Itemsets
-      .nonEmptySubsets(iStarRanked)
+      .nonEmptySubsets(toRanked(iStar, order))
       .sorted // numeric order == ≺ order in ranked space
       .toList
 

@@ -26,62 +26,37 @@ object Itemsets {
     items(mask).map(i => s"i${i + 1}").mkString("{", ",", "}")
 }
 
-/** A valuation function `V : 2^I -> R` over item masks. Implementations
-  * used in the paper's experiments are monotone and supermodular (the
-  * learned Table-5 valuation is the documented exception, see DESIGN.md).
+/** Builders of the paper's valuation families. Each returns the dense
+  * table `V(mask)` over all `2^k` masks that [[UtilityModel]] holds; the
+  * experiments' valuations are monotone and supermodular (the learned
+  * Table-5 valuation is the documented exception, see DESIGN.md).
   */
-trait Valuation extends Serializable {
-  /** Number of items in the universe. */
-  def k: Int
-  /** Value of the itemset `mask`; `apply(0) == 0`. */
-  def apply(mask: Int): Double
-  /** Materialise as a dense table over all `2^k` masks. */
-  final def toTable: Array[Double] = Array.tabulate(1 << k)(apply)
-}
+object Valuations {
 
-/** Valuation given explicitly for every one of the `2^k` masks. */
-final case class TableValuation(values: Array[Double]) extends Valuation {
-  require((values.length & (values.length - 1)) == 0, "table length must be 2^k")
-  require(values(0) == 0.0, "V(empty) must be 0")
-  val k: Int = Integer.numberOfTrailingZeros(values.length)
-  def apply(mask: Int): Double = values(mask)
-}
+  /** `V(mask) = value(mask)` for every mask over `k` items. */
+  def tabulate(k: Int)(value: Int => Double): Array[Double] = Array.tabulate(UtilityModel.tableSize(k))(value)
 
-/** Additive (modular) valuation: `V(S) = sum of per-item values`. */
-final case class AdditiveValuation(perItem: Array[Double]) extends Valuation {
-  val k: Int = perItem.length
-  def apply(mask: Int): Double = {
+  /** Additive (modular) valuation: `V(S) = sum of per-item values`. */
+  def additive(perItem: Array[Double]): Array[Double] = tabulate(perItem.length) { mask =>
     var v = 0.0; var i = 0
-    while (i < k) { if ((mask & (1 << i)) != 0) v += perItem(i); i += 1 }
+    while (i < perItem.length) { if ((mask & (1 << i)) != 0) v += perItem(i); i += 1 }
     v
   }
-}
 
-/** Two-item supermodular valuation from Table 3: `V(i1)`, `V(i2)`,
-  * `V({i1,i2})` with `V(both) >= V(i1)+V(i2)`.
-  */
-final case class TwoItemValuation(v1: Double, v2: Double, v12: Double) extends Valuation {
-  val k: Int = 2
-  def apply(mask: Int): Double = mask match {
-    case 0 => 0.0
-    case 1 => v1
-    case 2 => v2
-    case _ => v12
+  /** Two-item valuation from Table 3: `V(i1)`, `V(i2)`, `V({i1,i2})`,
+    * supermodular when `V(both) >= V(i1)+V(i2)`.
+    */
+  def twoItem(v1: Double, v2: Double, v12: Double): Array[Double] = Array(0.0, v1, v2, v12)
+
+  /** "Cone" valuation of Configurations 8/9: supersets of the `core` item have
+    * deterministic utility `5 + 2*(|S|-1)` (given unit prices), every other
+    * set has negative utility. `V(S) = |S| + 5 + 2(|S|-1)` when core present,
+    * 0 otherwise — monotone and supermodular (see DESIGN.md).
+    */
+  def cone(k: Int, core: Int): Array[Double] = tabulate(k) { mask =>
+    val s = Integer.bitCount(mask)
+    if ((mask & (1 << core)) == 0) 0.0 else s + 5.0 + 2.0 * (s - 1)
   }
-}
-
-/** "Cone" valuation of Configurations 8/9: supersets of the `core` item have
-  * deterministic utility `5 + 2*(|S|-1)` (given unit prices), every other
-  * set has negative utility. `V(S) = |S| + 5 + 2(|S|-1)` when core present,
-  * 0 otherwise — monotone and supermodular (see DESIGN.md).
-  */
-final case class ConeValuation(k: Int, core: Int) extends Valuation {
-  def apply(mask: Int): Double =
-    if ((mask & (1 << core)) == 0) 0.0
-    else {
-      val s = Integer.bitCount(mask)
-      s + 5.0 + 2.0 * (s - 1)
-    }
 }
 
 object LevelWiseValuation {
@@ -102,10 +77,10 @@ object LevelWiseValuation {
     * make V supermodular; non-negative singleton weights make it
     * monotone; level-1 utilities still have the paper's mixed signs.
     */
-  def build(k: Int, prices: Array[Double], seed: Long): TableValuation = {
+  def build(k: Int, prices: Array[Double], seed: Long): Array[Double] = {
     require(prices.length == k)
     val rng = new SplittableRandom(seed)
-    val nMasks = 1 << k
+    val nMasks = UtilityModel.tableSize(k)
     val w = new Array[Double](nMasks)
 
     // Level 1: a random ~half of the items get non-negative utility.
@@ -132,7 +107,7 @@ object LevelWiseValuation {
     val v = w.clone()
     for (i <- 0 until k; mask <- 0 until nMasks if (mask & (1 << i)) != 0)
       v(mask) += v(mask & ~(1 << i))
-    TableValuation(v)
+    v
   }
 }
 
@@ -154,13 +129,16 @@ object NoiseSpec {
 }
 
 /** The full EPIC utility model `U(S) = V(S) - P(S) + N(S)` (Param in the
-  * paper): supermodular valuation, additive price, additive zero-mean noise.
+  * paper): the valuation as its dense table over all `2^k` masks
+  * (see [[Valuations]]), additive price, additive zero-mean noise.
   */
-final case class UtilityModel(valuation: Valuation, prices: Array[Double], noise: NoiseSpec)
+final case class UtilityModel(valuation: Array[Double], prices: Array[Double], noise: NoiseSpec)
     extends Serializable {
-  require(prices.length == valuation.k && noise.k == valuation.k)
-  require(valuation.k <= 20, s"at most 20 items are supported (utility tables have 2^k entries), got ${valuation.k}")
-  def k: Int = valuation.k
+  require(valuation.length == UtilityModel.tableSize(prices.length),
+    s"value table must have 2^k = ${1 << prices.length} entries for k = ${prices.length} prices, got ${valuation.length}")
+  require(valuation(0) == 0.0, "V(empty) must be 0")
+  require(noise.k == prices.length, "noise must have one std per item")
+  def k: Int = prices.length
 
   /** Utility table for a given noise world: `U(mask)` for every mask. */
   def utilityTable(noiseSample: Array[Double]): Array[Double] = {
@@ -188,6 +166,20 @@ final case class UtilityModel(valuation: Valuation, prices: Array[Double], noise
   /** Sample a noise world and return its utility table. */
   def sampleUtilityTable(rng: SplittableRandom): Array[Double] =
     utilityTable(noise.sample(rng))
+}
+
+object UtilityModel {
+
+  /** Largest supported item count: every kernel reads `2^k`-entry tables. */
+  val MaxItems = 20
+
+  /** `2^k`, after checking `0 <= k <= MaxItems`; builders call it before
+    * allocating a table.
+    */
+  def tableSize(k: Int): Int = {
+    require(k >= 0 && k <= MaxItems, s"at most $MaxItems items are supported (utility tables have 2^k entries), got $k")
+    1 << k
+  }
 }
 
 /** Set-function property checks used by tests and configuration builders. */

@@ -61,7 +61,7 @@ class ComICSpec extends AnyFunSuite with PropHelpers {
     var adopts = 0
     (0 until runs).foreach { _ =>
       val util = cfg.model.sampleUtilityTable(rng)
-      if (Adoption.adoptSeed(util, 1) == 1) adopts += 1
+      if (Adoption.adopt(util, 1, 0) == 1) adopts += 1
     }
     val q = adopts.toDouble / runs
     assert(math.abs(q - cfg.gap.qA0) < 0.01, s"epic=$q gap=${cfg.gap.qA0}")
@@ -74,7 +74,7 @@ class ComICSpec extends AnyFunSuite with PropHelpers {
     var adoptsBoth = 0
     (0 until runs).foreach { _ =>
       val util = cfg.model.sampleUtilityTable(rng)
-      if (Adoption.adoptSeed(util, 3) == 3) adoptsBoth += 1
+      if (Adoption.adopt(util, 3, 0) == 3) adoptsBoth += 1
     }
     // bundle utility 1 + N(0, sqrt2): P[U >= 0] = Phi(1/sqrt2) ~ 0.76
     val q = adoptsBoth.toDouble / runs

@@ -31,8 +31,8 @@ class ConfigsSpec extends AnyFunSuite {
 
   test("all Table 3 valuations are monotone supermodular") {
     Configs.table3.foreach { cfg =>
-      assert(SetFunctions.isSupermodular(cfg.model.valuation.toTable), cfg.name)
-      assert(SetFunctions.isMonotone(cfg.model.valuation.toTable), cfg.name)
+      assert(SetFunctions.isSupermodular(cfg.model.valuation), cfg.name)
+      assert(SetFunctions.isMonotone(cfg.model.valuation), cfg.name)
     }
   }
 
@@ -53,15 +53,15 @@ class ConfigsSpec extends AnyFunSuite {
 
   test("Config 10 valuation is supermodular and monotone") {
     val cfg = Configs.config10(5, seed = 7)
-    assert(SetFunctions.isSupermodular(cfg.model.valuation.toTable))
-    assert(SetFunctions.isMonotone(cfg.model.valuation.toTable))
+    assert(SetFunctions.isSupermodular(cfg.model.valuation))
+    assert(SetFunctions.isMonotone(cfg.model.valuation))
   }
 
   test("Config 10 is deterministic in its seed") {
-    val a = Configs.config10(4, seed = 3).model.valuation.toTable.toSeq
-    val b = Configs.config10(4, seed = 3).model.valuation.toTable.toSeq
+    val a = Configs.config10(4, seed = 3).model.valuation.toSeq
+    val b = Configs.config10(4, seed = 3).model.valuation.toSeq
     assert(a == b)
-    assert(Configs.config10(4, seed = 4).model.valuation.toTable.toSeq != a)
+    assert(Configs.config10(4, seed = 4).model.valuation.toSeq != a)
   }
 
   test("realPs4 values match the published Table 5 rows") {

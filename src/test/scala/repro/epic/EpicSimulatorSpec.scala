@@ -19,7 +19,7 @@ object Example1 {
   // items i1,i2,i3; values so that U(i)=-1 per item, U({i1,i2})=U({i1,i3})=1,
   // U({i2,i3})=-1, U(all)=3 (Table 1).
   val model: UtilityModel = UtilityModel(
-    TableValuation(Array(0.0, 1.0, 1.0, 5.0, 1.0, 5.0, 3.0, 9.0)),
+    Array(0.0, 1.0, 1.0, 5.0, 1.0, 5.0, 3.0, 9.0),
     Array(2.0, 2.0, 2.0),
     NoiseSpec.none(3),
   )

@@ -13,7 +13,7 @@ class AdoptionSpec extends AnyFunSuite with PropHelpers {
     */
   val exampleUtil: Array[Double] = {
     val values = Array(0.0, 1.0, 1.0, 5.0, 1.0, 5.0, 3.0, 9.0)
-    UtilityModel(TableValuation(values), Array(2.0, 2.0, 2.0), NoiseSpec.none(3)).deterministicUtility
+    UtilityModel(values, Array(2.0, 2.0, 2.0), NoiseSpec.none(3)).deterministicUtility
   }
 
   test("Example 1 utility table has the paper's signs") {
@@ -24,10 +24,10 @@ class AdoptionSpec extends AnyFunSuite with PropHelpers {
   }
 
   test("seed adoption picks the utility-maximising subset of the allocation") {
-    assert(Adoption.adoptSeed(exampleUtil, 7) == 7) // all three: U=3
-    assert(Adoption.adoptSeed(exampleUtil, 3) == 3) // {i1,i2}: U=1
-    assert(Adoption.adoptSeed(exampleUtil, 1) == 0) // {i1} alone: negative -> nothing
-    assert(Adoption.adoptSeed(exampleUtil, 6) == 0) // {i2,i3}: negative -> nothing
+    assert(Adoption.adopt(exampleUtil, 7, 0) == 7) // all three: U=3
+    assert(Adoption.adopt(exampleUtil, 3, 0) == 3) // {i1,i2}: U=1
+    assert(Adoption.adopt(exampleUtil, 1, 0) == 0) // {i1} alone: negative -> nothing
+    assert(Adoption.adopt(exampleUtil, 6, 0) == 0) // {i2,i3}: negative -> nothing
   }
 
   test("adoption with a previous set must include it") {
@@ -72,10 +72,50 @@ class AdoptionSpec extends AnyFunSuite with PropHelpers {
   test("tie-break favours larger cardinality (union of argmaxes, Lemma 2)") {
     // Additive utility where item 2 has utility exactly 0: both {i1} and
     // {i1,i2} are argmax -> adopt the union {i1,i2}.
-    val m = UtilityModel(AdditiveValuation(Array(2.0, 1.0)), Array(1.0, 1.0), NoiseSpec.none(2))
+    val m = UtilityModel(Valuations.additive(Array(2.0, 1.0)), Array(1.0, 1.0), NoiseSpec.none(2))
     val util = m.deterministicUtility
     assert(util(1) == 1.0 && util(3) == 1.0)
     assert(Adoption.adopt(util, 3, 0) == 3)
+  }
+
+  test("tied maxima whose union is worse: adopt one of the largest maxima, not the union") {
+    // U({1}) = U({2}) = 1 but U({1,2}) = -5: the union is no argmax.
+    assert(Set(1, 2).contains(Adoption.adopt(Array(0.0, 1.0, 1.0, -5.0), 3, 0)))
+    // {1,2} and {3} tie at 2, their union {1,2,3} is worse: keep {1,2}.
+    val util = Array(0.0, 0.0, 0.0, 2.0, 2.0, -1.0, -1.0, -1.0)
+    assert(Adoption.adopt(util, 7, 0) == 3)
+  }
+
+  test("adopt is a largest-cardinality argmax: random non-supermodular tables and PS4") {
+    /** Every `T` with `prev ⊆ T ⊆ desire`, by brute force. */
+    def candidates(k: Int, desire: Int, prev: Int): Seq[Int] =
+      (0 until (1 << k)).filter(t => (t & ~desire) == 0 && (t & prev) == prev)
+    def check(util: Array[Double], k: Int, desire: Int, prev: Int, clue: String): Unit = {
+      val all = candidates(k, desire, prev)
+      val best = all.map(util).max
+      val argmax = all.filter(t => util(t) >= best - 1e-9)
+      val got = Adoption.adopt(util, desire, prev)
+      assert(argmax.contains(got), s"$clue desire=$desire prev=$prev got=$got util=${util.toSeq}")
+      assert(Integer.bitCount(got) == argmax.map(Integer.bitCount).max, s"$clue desire=$desire prev=$prev")
+    }
+    // Small integer utilities: ties are common and most tables are not supermodular.
+    var nonSupermodular = 0
+    forSeeds(400) { s =>
+      val rng = new SplittableRandom(s)
+      val k = 2 + rng.nextInt(4)
+      val util = Array.tabulate(1 << k)(m => if (m == 0) 0.0 else (rng.nextInt(7) - 3).toDouble)
+      if (!SetFunctions.isSupermodular(util)) nonSupermodular += 1
+      val desire = rng.nextInt(1 << k)
+      val prevs = candidates(k, desire, 0).filter(util(_) >= 0)
+      check(util, k, desire, 0, s"seed=$s")
+      check(util, k, desire, prevs(rng.nextInt(prevs.length)), s"seed=$s")
+    }
+    assert(nonSupermodular > 300)
+    // PS4: its deterministic table and noise worlds with integer noise (ties between games).
+    val ps4 = repro.core.Configs.realPs4.model
+    val rng = new SplittableRandom(7)
+    val tables = ps4.deterministicUtility +: Seq.fill(40)(ps4.utilityTable(Array.fill(5)((rng.nextInt(41) - 20).toDouble)))
+    for ((util, w) <- tables.zipWithIndex; desire <- 0 until 32) check(util, 5, desire, 0, s"PS4 world $w")
   }
 
   test("empty-desire adoption stays empty") {

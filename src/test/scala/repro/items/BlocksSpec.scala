@@ -74,9 +74,11 @@ class BlocksSpec extends AnyFunSuite with PropHelpers {
   }
 
   test("Property 3: any proper subset precedes its superset in ≺") {
+    val rng = new SplittableRandom(5)
     forRandomInts(100, 1, 255, seed = 5) { mask =>
+      val order = Blocks.itemOrder(Array.fill(8)(rng.nextInt(5)))
       Itemsets.nonEmptySubsets(mask).filter(_ != mask).foreach { sub =>
-        assert(Blocks.precedes(sub, mask))
+        assert(Blocks.toRanked(sub, order) < Blocks.toRanked(mask, order))
       }
     }
   }
@@ -128,6 +130,7 @@ class BlocksSpec extends AnyFunSuite with PropHelpers {
     val order = Array(2, 0, 1) // rank 0 -> item 2, etc.
     assert(Blocks.rankedToOrigMask(0b001, order) == 0b100)
     assert(Blocks.rankedToOrigMask(0b110, order) == 0b011)
+    for (m <- 0 until 8) assert(Blocks.toRanked(Blocks.rankedToOrigMask(m, order), order) == m)
   }
 
   test("single positive item becomes a single block") {

@@ -9,14 +9,20 @@ import repro.PropHelpers
 class UtilityModelSpec extends AnyFunSuite with PropHelpers {
 
   private val model = UtilityModel(
-    TwoItemValuation(1.7, 2.7, 8.0),
+    Valuations.twoItem(1.7, 2.7, 8.0),
     Array(3.0, 4.0),
     NoiseSpec(Array(1.0, 1.0)),
   )
 
   test("more than 20 items is rejected") {
+    // by the builders, before they allocate a 2^k table
+    intercept[IllegalArgumentException](Valuations.additive(Array.fill(21)(1.0)))
+    intercept[IllegalArgumentException](Valuations.cone(21, 0))
+    intercept[IllegalArgumentException](LevelWiseValuation.build(21, Array.fill(21)(1.0), 1L))
+    intercept[IllegalArgumentException](Valuations.tabulate(21)(_ => 0.0))
+    // and by the model, whatever table it is given
     intercept[IllegalArgumentException] {
-      UtilityModel(AdditiveValuation(Array.fill(21)(1.0)), Array.fill(21)(1.0), NoiseSpec.none(21))
+      UtilityModel(Array(0.0, 1.0), Array.fill(21)(1.0), NoiseSpec.none(21))
     }
   }
 
@@ -79,7 +85,7 @@ class UtilityModelSpec extends AnyFunSuite with PropHelpers {
 
   test("model validates dimension agreement") {
     intercept[IllegalArgumentException] {
-      UtilityModel(TwoItemValuation(1, 1, 3), Array(1.0), NoiseSpec.none(2))
+      UtilityModel(Valuations.twoItem(1, 1, 3), Array(1.0), NoiseSpec.none(2))
     }
   }
 }

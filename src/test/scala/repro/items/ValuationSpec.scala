@@ -9,30 +9,30 @@ import repro.PropHelpers
 class ValuationSpec extends AnyFunSuite with PropHelpers {
 
   test("AdditiveValuation sums per-item values and is modular") {
-    val v = AdditiveValuation(Array(1.0, 2.0, 3.0))
-    assert(v(0) == 0.0)
-    assert(v(0b101) == 4.0)
-    assert(v(0b111) == 6.0)
-    val t = v.toTable
+    val t = Valuations.additive(Array(1.0, 2.0, 3.0))
+    assert(t.length == 8)
+    assert(t(0) == 0.0)
+    assert(t(0b101) == 4.0)
+    assert(t(0b111) == 6.0)
     assert(SetFunctions.isSupermodular(t))
     assert(SetFunctions.isMonotone(t))
   }
 
   test("TwoItemValuation matches Table 3 shapes and is supermodular") {
-    val v = TwoItemValuation(1.7, 2.7, 8.0)
-    assert(v(1) == 1.7 && v(2) == 2.7 && v(3) == 8.0 && v(0) == 0.0)
-    assert(SetFunctions.isSupermodular(v.toTable))
-    assert(SetFunctions.isMonotone(v.toTable))
+    val v = Valuations.twoItem(1.7, 2.7, 8.0)
+    assert(v.toSeq == Seq(0.0, 1.7, 2.7, 8.0))
+    assert(SetFunctions.isSupermodular(v))
+    assert(SetFunctions.isMonotone(v))
   }
 
   test("TwoItemValuation with subadditive bundle is NOT supermodular") {
-    val v = TwoItemValuation(3.0, 3.0, 4.0)
-    assert(!SetFunctions.isSupermodular(v.toTable))
+    val v = Valuations.twoItem(3.0, 3.0, 4.0)
+    assert(!SetFunctions.isSupermodular(v))
   }
 
   test("ConeValuation is monotone and supermodular for every core") {
     for (k <- 2 to 6; core <- 0 until k) {
-      val t = ConeValuation(k, core).toTable
+      val t = Valuations.cone(k, core)
       assert(SetFunctions.isSupermodular(t), s"k=$k core=$core")
       assert(SetFunctions.isMonotone(t), s"k=$k core=$core")
     }
@@ -40,7 +40,7 @@ class ValuationSpec extends AnyFunSuite with PropHelpers {
 
   test("ConeValuation deterministic utility: 5 + 2(|S|-1) with core, negative without") {
     val k = 5; val core = 2
-    val v = ConeValuation(k, core)
+    val v = Valuations.cone(k, core)
     val prices = Array.fill(k)(1.0)
     val m = UtilityModel(v, prices, NoiseSpec.none(k))
     val det = m.deterministicUtility
@@ -52,8 +52,9 @@ class ValuationSpec extends AnyFunSuite with PropHelpers {
   }
 
   test("TableValuation rejects non-power-of-two tables and nonzero V(empty)") {
-    intercept[IllegalArgumentException](TableValuation(Array(0.0, 1.0, 2.0)))
-    intercept[IllegalArgumentException](TableValuation(Array(1.0, 1.0)))
+    intercept[IllegalArgumentException](UtilityModel(Array(0.0, 1.0, 2.0), Array(1.0, 1.0), NoiseSpec.none(2)))
+    intercept[IllegalArgumentException](UtilityModel(Array(0.0, 1.0, 2.0), Array(1.0), NoiseSpec.none(1)))
+    intercept[IllegalArgumentException](UtilityModel(Array(1.0, 1.0), Array(1.0), NoiseSpec.none(1)))
   }
 
   test("LevelWiseValuation (Config 10) is well-defined, monotone and supermodular across seeds") {
@@ -63,8 +64,9 @@ class ValuationSpec extends AnyFunSuite with PropHelpers {
       val prices = Array.fill(k)(1.0 + rng.nextDouble() * 4.0)
       val v = LevelWiseValuation.build(k, prices, rng.nextLong())
       assert(v(0) == 0.0)
-      assert(SetFunctions.isMonotone(v.values), s"seed=$seed k=$k not monotone")
-      assert(SetFunctions.isSupermodular(v.values), s"seed=$seed k=$k not supermodular")
+      assert(v.length == 1 << k)
+      assert(SetFunctions.isMonotone(v), s"seed=$seed k=$k not monotone")
+      assert(SetFunctions.isSupermodular(v), s"seed=$seed k=$k not supermodular")
     }
   }
 
