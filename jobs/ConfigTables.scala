@@ -63,7 +63,7 @@ object Table4Configs {
       ))
     }
     val rows = cases.map { case (no, cfg, value, budget) =>
-      val positive = cfg.detUtil.tail.count(_ >= 0)
+      val positive = (1 until (1 << k)).count(cfg.detUtil(_) >= 0)
       Seq[Any](no, value, budget, s"$positive / ${(1 << k) - 1} itemsets with detU >= 0")
     }
     Table("Table 4: multiple item configurations",

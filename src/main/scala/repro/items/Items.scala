@@ -170,14 +170,11 @@ final case class UtilityModel(valuation: Array[Double], prices: Array[Double], n
 
 object UtilityModel {
 
-  /** Largest supported item count: every kernel reads `2^k`-entry tables. */
-  val MaxItems = 20
-
-  /** `2^k`, after checking `0 <= k <= MaxItems`; builders call it before
-    * allocating a table.
+  /** `2^k`, after checking `0 <= k <= 20` (every kernel reads `2^k`-entry
+    * tables); builders call it before allocating a table.
     */
   def tableSize(k: Int): Int = {
-    require(k >= 0 && k <= MaxItems, s"at most $MaxItems items are supported (utility tables have 2^k entries), got $k")
+    require(k >= 0 && k <= 20, s"at most 20 items are supported (utility tables have 2^k entries), got $k")
     1 << k
   }
 }
