@@ -8,6 +8,7 @@ import repro.core.{Allocation, Configs}
 import repro.epic.EpicSimulator
 import repro.graph.{GraphGen, SocialGraph}
 import repro.im.{ICRRSampler, RRSampler, RRSets}
+import repro.items.{NoiseSpec, SetFunctions, UtilityModel, Valuations}
 
 /** Golden outputs of every graph traversal: IC RR sets, the Com-IC RR
   * samplers and forward spread, EPIC diffusion and Com-IC simulation, each
@@ -101,28 +102,50 @@ class GoldenOutputSpec extends AnyFunSuite {
 
   test("EPIC diffusion under configs 7 and 10, live and hashed edge worlds") {
     val g = directed
-    val k = 5
     val top = hubs(g, 60)
-    // Items 0..2 bundled on the same hubs, items 3..4 on disjoint hubs.
-    val alloc = Allocation.fromItemSeeds(Seq(
-      top.take(20), top.take(15), top.take(10), top.slice(20, 40), top.slice(40, 60)))
-    for ((cfg, live, fixed) <- Seq(
-           (Configs.config7(k), "0015e99c55e0e3b8", "5e38390fbcd04372"),
-           (Configs.config10(k), "fc82f7487ec21e0e", "db6d0446b62fc2d6"))) {
+    /** Digests of 100 live-coin worlds and 100 hashed edge worlds. */
+    def worlds(model: UtilityModel, alloc: Map[Int, Int]): (String, String) = {
       val hLive = digest { d =>
         (0 until 100).foreach { r =>
           val rng = new SplittableRandom(RRSets.mix(31, r.toLong))
-          val util = cfg.model.sampleUtilityTable(rng)
+          val util = model.sampleUtilityTable(rng)
           d.ints(EpicSimulator.diffuse(g, alloc, util, rng))
         }
       }
       val hFixed = digest { d =>
         (0 until 100).foreach { r =>
-          val util = cfg.model.sampleUtilityTable(new SplittableRandom(RRSets.mix(37, r.toLong)))
+          val util = model.sampleUtilityTable(new SplittableRandom(RRSets.mix(37, r.toLong)))
           d.ints(EpicSimulator.diffuseFixedWorld(g, alloc, util, RRSets.mix(41, r.toLong)))
         }
       }
-      assert((hLive, hFixed) == ((live, fixed)), s"config ${cfg.no}")
+      (hLive, hFixed)
+    }
+    // Five items: 0..2 bundled on the same hubs, 3..4 on disjoint hubs.
+    val alloc5 = Allocation.fromItemSeeds(Seq(
+      top.take(20), top.take(15), top.take(10), top.slice(20, 40), top.slice(40, 60)))
+    for ((cfg, live, fixed) <- Seq(
+           (Configs.config7(5), "0015e99c55e0e3b8", "5e38390fbcd04372"),
+           (Configs.config10(5), "fc82f7487ec21e0e", "db6d0446b62fc2d6"))) {
+      assert(worlds(cfg.model, alloc5) == ((live, fixed)), s"5 items, config ${cfg.no}")
+    }
+    // Ten items seeded as greedyWM seeds them: item i on the top 60 - 6i
+    // hubs, so every seed holds a prefix of the items and the top six hold
+    // all ten.
+    val k = 10
+    val nested = Allocation.fromItemSeeds((0 until k).map(i => top.take(60 - 6 * i)))
+    // Integer values scattered around an additive table and no noise: ties
+    // are common and the table is not supermodular.
+    val rough = {
+      val rng = new SplittableRandom(53)
+      val v = Valuations.tabulate(k)(m => if (m == 0) 0.0 else 2.0 * Integer.bitCount(m) + rng.nextInt(5) - 2)
+      UtilityModel(v, Array.fill(k)(1.0), NoiseSpec.none(k))
+    }
+    assert(!SetFunctions.isSupermodular(rough.valuation))
+    for ((name, model, live, fixed) <- Seq(
+           ("config 7", Configs.config7(k).model, "aa45fb6f9224299c", "4c6d57b024a5c15d"),
+           ("config 10", Configs.config10(k).model, "9d935983147f23ce", "80d805ed5c6ee9c5"),
+           ("non-supermodular", rough, "ebba97f051f2f720", "aefa8e531fcf916e"))) {
+      assert(worlds(model, nested) == ((live, fixed)), s"10 items, $name")
     }
   }
 
