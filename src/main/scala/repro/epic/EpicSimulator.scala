@@ -50,12 +50,13 @@ object EpicSimulator {
     val desire = new Array[Int](g.n)
     val adoption = new Array[Int](g.n)
     val coins = new Traversal.EdgeCoins(g, testEdge)
+    val rule = new Adoption.Memo(util) // this world's nodes all share `util`
 
     // t = 1: seeds desire their allocation and adopt the best subset.
     val seeds = Array.newBuilder[Int]
     for ((v, mask) <- alloc if mask != 0) {
       desire(v) |= mask
-      val a = Adoption.adopt(util, desire(v), 0)
+      val a = rule.adopt(desire(v), 0)
       if (a != adoption(v)) { adoption(v) = a; seeds += v }
     }
 
@@ -66,7 +67,7 @@ object EpicSimulator {
         (aU & ~desire(v)) != 0 && { desire(v) |= aU; true }
       }
     } { v =>
-      val a = Adoption.adopt(util, desire(v), adoption(v))
+      val a = rule.adopt(desire(v), adoption(v))
       a != adoption(v) && { adoption(v) = a; true }
     }
     adoption

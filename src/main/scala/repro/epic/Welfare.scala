@@ -21,6 +21,16 @@ object Welfare {
     def runs: Int = perRunWelfare.length
     def welfare: Double = perRunWelfare.sum / runs
     def adoptions: Double = perRunAdoptions.map(_.toDouble).sum / runs
+
+    /** Standard error of [[welfare]]: the runs' sample standard deviation
+      * (denominator `runs - 1`) over `sqrt(runs)`; 0 for a single run.
+      */
+    def stderr: Double =
+      if (runs < 2) 0.0
+      else {
+        val mean = welfare
+        math.sqrt(perRunWelfare.map(w => (w - mean) * (w - mean)).sum / (runs - 1) / runs)
+      }
   }
 
   def estimate(spark: SparkSession, g: SocialGraph, alloc: Map[Int, Int],

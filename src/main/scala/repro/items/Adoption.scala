@@ -42,18 +42,63 @@ object Adoption {
     if (util(union) >= bestU - Tol) union else largest
   }
 
-  /** True iff `mask` is a local maximum of `util` (its utility is the max
-    * over all its subsets) — the invariant of Lemma 3, used in tests.
+  /** A [[Memo]] runs [[adopt]] directly when `desire & ~prev` has fewer
+    * items than this, since a probe costs more than such a scan. Set by
+    * measurement on Fig 5's welfare cell, where 4 and 8 were within noise.
     */
-  def isLocalMaximum(util: Array[Double], mask: Int): Boolean = {
-    val u = util(mask)
-    var sub = mask
-    var ok = true
-    while (sub != 0 && ok) {
-      sub = (sub - 1) & mask
-      if (util(sub) > u + Tol) ok = false
+  private[items] val MemoCut = 6
+
+  /** Slots a [[Memo]] starts with; it doubles them at half load. */
+  private[items] val MemoSlots = 16
+
+  private val Empty = -1L // never a key: desire = prev = -1 has no free item
+
+  /** [[adopt]] over one utility table, memoized by `(desire, prev)`.
+    *
+    * In one possible world every node reads the same table, so the rule is
+    * a function of `(desire, prev)`; seeds sharing greedyWM's nested
+    * bundles and the nodes they reach repeat the same large scans. Calls
+    * with at least [[MemoCut]] free items are kept in an open-addressing
+    * table of primitive keys and results; every miss calls [[adopt]], so
+    * each result, and each rejected argument, is the plain rule's.
+    */
+  final class Memo(util: Array[Double]) {
+    private var keys = Array.fill(MemoSlots)(Empty)
+    private var vals = new Array[Int](MemoSlots)
+    private var size = 0
+
+    def adopt(desire: Int, prev: Int): Int =
+      if (Integer.bitCount(desire & ~prev) < MemoCut) Adoption.adopt(util, desire, prev)
+      else {
+        val key = (desire.toLong << 32) | (prev & 0xFFFFFFFFL)
+        val i = find(keys, key)
+        if (keys(i) == key) vals(i)
+        else {
+          val a = Adoption.adopt(util, desire, prev)
+          keys(i) = key; vals(i) = a; size += 1
+          if (2 * size > keys.length) grow()
+          a
+        }
+      }
+
+    /** The slot holding `key`, or the empty slot where it belongs. */
+    private def find(ks: Array[Long], key: Long): Int = {
+      val h = key * 0x9E3779B97F4A7C15L
+      var i = (h ^ (h >>> 32)).toInt & (ks.length - 1)
+      while (ks(i) != Empty && ks(i) != key) i = (i + 1) & (ks.length - 1)
+      i
     }
-    ok
+
+    private def grow(): Unit = {
+      val ks = Array.fill(2 * keys.length)(Empty)
+      val vs = new Array[Int](ks.length)
+      var j = 0
+      while (j < keys.length) {
+        if (keys(j) != Empty) { val i = find(ks, keys(j)); ks(i) = keys(j); vs(i) = vals(j) }
+        j += 1
+      }
+      keys = ks; vals = vs
+    }
   }
 
   /** The globally optimal itemset `I*` for a noise world: the utility-

@@ -20,10 +20,6 @@ object Itemsets {
     while (s != 0) { out += s; s = (s - 1) & mask }
     out.toSeq
   }
-
-  /** Format a mask as `{i1,i3}` (1-based, paper style). */
-  def show(mask: Int): String =
-    items(mask).map(i => s"i${i + 1}").mkString("{", ",", "}")
 }
 
 /** Builders of the paper's valuation families. Each returns the dense

@@ -2,7 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 
-import repro.items.{Itemsets, SetFunctions}
+import repro.items.{ItemsetChecks, Itemsets, SetFunctions}
 
 class ConfigsSpec extends AnyFunSuite {
 
@@ -85,8 +85,8 @@ class ConfigsSpec extends AnyFunSuite {
       val hasC = (mask & 2) != 0
       val nGames = Integer.bitCount(mask >> 2)
       val expectPositive = hasPs && hasC && nGames >= 2
-      if (expectPositive) assert(det(mask) > 0, s"mask=${Itemsets.show(mask)} det=${det(mask)}")
-      else assert(det(mask) < 0, s"mask=${Itemsets.show(mask)} det=${det(mask)}")
+      if (expectPositive) assert(det(mask) > 0, s"mask=${ItemsetChecks.show(mask)} det=${det(mask)}")
+      else assert(det(mask) < 0, s"mask=${ItemsetChecks.show(mask)} det=${det(mask)}")
     }
   }
 

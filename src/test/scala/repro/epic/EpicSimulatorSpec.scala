@@ -111,7 +111,7 @@ class EpicSimulatorSpec extends AnyFunSuite with PropHelpers {
       val rng = new SplittableRandom(s)
       val alloc = Map(rng.nextInt(60) -> 7, rng.nextInt(60) -> 6, rng.nextInt(60) -> 5)
       val adoption = EpicSimulator.diffuse(graph, alloc, util, rng)
-      adoption.foreach(a => assert(Adoption.isLocalMaximum(util, a)))
+      adoption.foreach(a => assert(ItemsetChecks.isLocalMaximum(util, a)))
     }
   }
 

@@ -70,6 +70,14 @@ class WelfareSpec extends AnyFunSuite with SparkSpec {
     )
   }
 
+  test("stderr is the standard error of the mean welfare, 0 for one run") {
+    // mean 3, squared deviations 4 + 1 + 1 + 4 = 10: sqrt(10 / 3 / 4)
+    val est = Welfare.Estimate(Array(1.0, 2.0, 4.0, 5.0), Array(0L, 0L, 0L, 0L))
+    assert(math.abs(est.stderr - 0.9128709291752769) < 1e-12)
+    assert(Welfare.Estimate(Array(7.0), Array(1L)).stderr == 0.0)
+    assert(Welfare.estimate(spark, g, greedyAlloc, model, runs = 8, seed = 3).stderr == 0.0)
+  }
+
   test("zero-budget (empty) allocation has zero welfare") {
     val est = Welfare.estimate(spark, g, Map.empty, model, runs = 4, seed = 2)
     assert(est.welfare == 0.0 && est.adoptions == 0.0)

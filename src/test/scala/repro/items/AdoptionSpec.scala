@@ -56,7 +56,7 @@ class AdoptionSpec extends AnyFunSuite with PropHelpers {
       val util = randomSupermodularUtil(4, rng)
       val desire = rng.nextInt(16)
       val a = Adoption.adopt(util, desire, 0)
-      assert(Adoption.isLocalMaximum(util, a), s"seed=$s util=${util.toSeq} desire=$desire a=$a")
+      assert(ItemsetChecks.isLocalMaximum(util, a), s"seed=$s util=${util.toSeq} desire=$desire a=$a")
     }
   }
 
@@ -116,6 +116,74 @@ class AdoptionSpec extends AnyFunSuite with PropHelpers {
     val rng = new SplittableRandom(7)
     val tables = ps4.deterministicUtility +: Seq.fill(40)(ps4.utilityTable(Array.fill(5)((rng.nextInt(41) - 20).toDouble)))
     for ((util, w) <- tables.zipWithIndex; desire <- 0 until 32) check(util, 5, desire, 0, s"PS4 world $w")
+  }
+
+  test("Memo equals plain adopt: random tables, repeated keys, growth, the cut and bit 19") {
+    import Adoption.{MemoCut, MemoSlots}
+    /** A random `T ⊆ mask` with exactly `n` of its items (all if it has fewer). */
+    def pick(mask: Int, n: Int, rng: SplittableRandom): Int = {
+      val items = Itemsets.items(mask).toBuffer
+      var out = 0
+      while (Integer.bitCount(out) < n && items.nonEmpty) out |= 1 << items.remove(rng.nextInt(items.length))
+      out
+    }
+    /** Feed `calls` random `(desire, prev)` pairs over `k` items to one memo,
+      * re-asking earlier pairs half of the time; returns the distinct pairs
+      * that reached the table (at least `MemoCut` free items).
+      */
+    def stream(util: Array[Double], k: Int, calls: Int, rng: SplittableRandom, clue: String): Int = {
+      val memo = new Adoption.Memo(util)
+      val asked = scala.collection.mutable.ArrayBuffer.empty[(Int, Int)]
+      for (_ <- 0 until calls) {
+        val (desire, prev) =
+          if (asked.nonEmpty && rng.nextBoolean()) asked(rng.nextInt(asked.length))
+          else {
+            val desire = rng.nextInt(1 << k) | rng.nextInt(1 << k) // about 3k/4 items
+            // free masks of every size, with just below and at the cut most often
+            val free = rng.nextInt(4) match {
+              case 0 => MemoCut - 1
+              case 1 => MemoCut
+              case _ => rng.nextInt(k + 1)
+            }
+            (desire, desire & ~pick(desire, free, rng))
+          }
+        asked += ((desire, prev))
+        assert(memo.adopt(desire, prev) == Adoption.adopt(util, desire, prev), s"$clue desire=$desire prev=$prev")
+      }
+      asked.distinct.count { case (d, p) => Integer.bitCount(d & ~p) >= MemoCut }
+    }
+    forSeeds(8) { s =>
+      val rng = new SplittableRandom(s)
+      val k = 10
+      val supermodular = randomSupermodularUtil(k, rng)
+      val rough = Array.tabulate(1 << k)(m => if (m == 0) 0.0 else (rng.nextInt(7) - 3).toDouble)
+      assert(!SetFunctions.isSupermodular(rough))
+      assert(stream(supermodular, k, 600, rng, s"supermodular seed=$s") > 4 * MemoSlots)
+      assert(stream(rough, k, 600, rng, s"non-supermodular seed=$s") > 4 * MemoSlots)
+    }
+    // PS4 (five items, so every scan is below the cut): the table and noise worlds.
+    val ps4 = repro.core.Configs.realPs4.model
+    val rng = new SplittableRandom(11)
+    for (w <- 0 until 10)
+      stream(ps4.sampleUtilityTable(rng), 5, 200, rng, s"PS4 world $w")
+    // Twenty items: keys that differ only in bit 19 of desire or prev.
+    val util20 = Array.tabulate(1 << 20)(m => if (m == 0) 0.0 else rng.nextInt(9) - 4.0)
+    val memo = new Adoption.Memo(util20)
+    for (_ <- 0 until 300) {
+      val free = MemoCut - 1 + rng.nextInt(4)
+      val desire = rng.nextInt(1 << 19) | (1 << 19)
+      val keep = desire & ~pick(desire & ((1 << 19) - 1), free, rng)
+      for (d <- Seq(desire, desire & ~(1 << 19)); p <- Seq(keep, keep & ~(1 << 19)) if (p & ~d) == 0)
+        assert(memo.adopt(d, p) == Adoption.adopt(util20, d, p), s"k=20 desire=$d prev=$p")
+    }
+  }
+
+  test("Memo rejects a previous adoption outside the desire set, below and at the cut") {
+    val memo = new Adoption.Memo(Array.fill(1 << 10)(1.0).updated(0, 0.0))
+    for (free <- Seq(Adoption.MemoCut - 1, Adoption.MemoCut); _ <- 0 until 2) {
+      val desire = (1 << free) - 1
+      intercept[IllegalArgumentException](memo.adopt(desire, 1 << 9))
+    }
   }
 
   test("empty-desire adoption stays empty") {

@@ -36,8 +36,8 @@ class ItemsetsSpec extends AnyFunSuite with PropHelpers {
   }
 
   test("show uses 1-based paper names") {
-    assert(Itemsets.show(0b101) == "{i1,i3}")
-    assert(Itemsets.show(0) == "{}")
+    assert(ItemsetChecks.show(0b101) == "{i1,i3}")
+    assert(ItemsetChecks.show(0) == "{}")
   }
 
   test("property: every subset returned is a non-empty submask") {
