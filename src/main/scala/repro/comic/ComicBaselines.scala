@@ -4,9 +4,9 @@ import java.util.SplittableRandom
 
 import org.apache.spark.sql.SparkSession
 
-import repro.epic.EpicSimulator.hash01
 import repro.graph.{SocialGraph, Traversal}
 import repro.im.{PRIMM, RRSampler}
+import repro.im.RRSets.hash01
 
 /** RR-SIM+ and RR-CIM baselines [Lu et al., VLDB'15], reimplemented on the
   * generic PRIMM/IMM engine with Com-IC flavoured RR samplers.

@@ -128,8 +128,9 @@ object Configs {
     budgets
   }
 
-  /** Uniform split of `total` over `k` items. */
-  def uniformSplit(k: Int, total: Int): Array[Int] = Array.fill(k)(total / k)
+  /** Uniform split of `total` over `k` items, the first `total % k` one larger. */
+  def uniformSplit(k: Int, total: Int): Array[Int] =
+    Array.tabulate(k)(i => total / k + (if (i < total % k) 1 else 0))
 
   /** §6.4 real-data split: 30/30/20/10/10 percent of the total budget. */
   def realSplit(total: Int): Array[Int] =

@@ -9,10 +9,8 @@ import repro.items.Adoption
   *
   * A possible world `W = (W^E, W^N)` fixes the edge coin flips and the
   * noise terms; `util` is the utility table of the noise world. Edge coins
-  * are flipped lazily, at most once per edge (the model's "tested once,
-  * status remembered"), either from a live RNG or from a deterministic
-  * hash of `(worldSeed, src, dst)` so the same edge world can be replayed
-  * by the GraphX Pregel implementation.
+  * are flipped lazily from a live RNG, at most once per edge (the model's
+  * "tested once, status remembered").
   *
   * The propagation loop is push-on-change: a node whose adoption set grew
   * at step `t-1` pushes its adoption mask along its (live) out-edges at
@@ -20,33 +18,14 @@ import repro.items.Adoption
   */
 object EpicSimulator {
 
-  /** splitmix64 finaliser — stateless uniform hash to [0,1). */
-  def hash01(seed: Long, a: Long, b: Long): Double = {
-    var z = seed ^ (a * 0x9E3779B97F4A7C15L) ^ (b * 0xC2B2AE3D27D4EB4FL)
-    z = (z ^ (z >>> 30)) * 0xBF58476D1CE4E5B9L
-    z = (z ^ (z >>> 27)) * 0x94D049BB133111EBL
-    z ^= (z >>> 31)
-    (z >>> 11).toDouble / (1L << 53).toDouble
-  }
-
-  /** Is the edge `src -> dst` live in the edge world `worldSeed`?
-    * Shared coupling between the local simulator and the Pregel one.
-    */
-  def edgeLive(g: SocialGraph, worldSeed: Long)(edgeIdx: Int, src: Int): Boolean =
-    hash01(worldSeed, src.toLong, g.fwdDst(edgeIdx).toLong) < g.fwdProb(edgeIdx)
-
   /** Diffuse with a live RNG deciding edge coins (fresh edge world). */
   def diffuse(g: SocialGraph, alloc: Map[Int, Int], util: Array[Double],
               rng: SplittableRandom): Array[Int] =
     run(g, alloc, util, (e, _) => rng.nextDouble() < g.fwdProb(e))
 
-  /** Diffuse in the hash-determined edge world `worldSeed` (replayable). */
-  def diffuseFixedWorld(g: SocialGraph, alloc: Map[Int, Int], util: Array[Double],
-                        worldSeed: Long): Array[Int] =
-    run(g, alloc, util, edgeLive(g, worldSeed))
-
-  private def run(g: SocialGraph, alloc: Map[Int, Int], util: Array[Double],
-                  testEdge: (Int, Int) => Boolean): Array[Int] = {
+  /** Diffuse with `testEdge(e, src)` deciding each edge's coin. */
+  private[epic] def run(g: SocialGraph, alloc: Map[Int, Int], util: Array[Double],
+                        testEdge: (Int, Int) => Boolean): Array[Int] = {
     val desire = new Array[Int](g.n)
     val adoption = new Array[Int](g.n)
     val coins = new Traversal.EdgeCoins(g, testEdge)

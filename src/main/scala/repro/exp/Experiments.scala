@@ -23,8 +23,8 @@ object Experiments {
     Seq(AlgoGreedyWM, AlgoRRSimPlus, AlgoRRCim, AlgoItemDisj, AlgoBundleDisj)
   val multiItemAlgos: Seq[String] = Seq(AlgoGreedyWM, AlgoItemDisj, AlgoBundleDisj)
 
-  /** Monte-Carlo runs per welfare estimate (overridable for quick runs). */
-  def mcRuns: Int = sys.env.getOrElse("REPRO_MC_RUNS", "40").toInt
+  /** Monte-Carlo runs per welfare estimate. */
+  val mcRuns: Int = 40
 
   /** RR-set cap for the Com-IC baselines (most of their RR sets are empty,
     * so they draw many more than IMM does).

@@ -50,6 +50,7 @@ object PRIMM {
     require(budgets.zip(budgets.tail).forall { case (a, b) => a >= b },
       "budgets must be sorted non-increasingly")
     val n = g.n
+    require(n >= 2, s"PRIMM needs at least 2 nodes, got $n: its sample-size bounds divide by ln n")
     val bMax = budgets.head
     val selectable = n - forbidden.count(u => u >= 0 && u < n)
     require(bMax <= selectable,

@@ -25,13 +25,24 @@ final class ICRRSampler(g: SocialGraph) extends RRSampler {
     Traversal.reverseReach(g, rng.nextInt(g.n))((e, _) => rng.nextDouble() < g.revProb(e))
 }
 
-/** Batch generation of RR sets with per-sample seeds. */
+/** Batch generation of RR sets with per-sample seeds, and the home of the
+  * seed hashes (`mix` per sample id, `hash01` for hashed possible worlds).
+  */
 object RRSets {
 
   def mix(seed: Long, i: Long): Long = {
     var z = seed + i * 0x9E3779B97F4A7C15L
     z = (z ^ (z >>> 30)) * 0xBF58476D1CE4E5B9L
     z ^ (z >>> 31)
+  }
+
+  /** splitmix64 finaliser — stateless uniform hash to [0,1). */
+  def hash01(seed: Long, a: Long, b: Long): Double = {
+    var z = seed ^ (a * 0x9E3779B97F4A7C15L) ^ (b * 0xC2B2AE3D27D4EB4FL)
+    z = (z ^ (z >>> 30)) * 0xBF58476D1CE4E5B9L
+    z = (z ^ (z >>> 27)) * 0x94D049BB133111EBL
+    z ^= (z >>> 31)
+    (z >>> 11).toDouble / (1L << 53).toDouble
   }
 
   /** Generate RR sets with global sample ids `[offset, offset+count)`. */

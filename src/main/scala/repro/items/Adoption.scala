@@ -100,11 +100,4 @@ object Adoption {
       keys = ks; vals = vs
     }
   }
-
-  /** The globally optimal itemset `I*` for a noise world: the utility-
-    * maximising subset of the full universe, ties broken toward larger
-    * cardinality (§5.2). Items outside `I*` can never be adopted.
-    */
-  def globalOptimum(util: Array[Double]): Int =
-    adopt(util, util.length - 1, 0)
 }

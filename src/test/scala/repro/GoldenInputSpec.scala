@@ -4,6 +4,7 @@ import java.util.SplittableRandom
 
 import org.scalatest.funsuite.AnyFunSuite
 
+import repro.Golden.digest
 import repro.core.Configs
 import repro.graph.{GraphGen, SocialGraph}
 
@@ -17,19 +18,6 @@ import repro.graph.{GraphGen, SocialGraph}
   * order, same arc order within each node, same doubles.
   */
 class GoldenInputSpec extends AnyFunSuite {
-
-  /** 64-bit FNV-1a over a stream of longs. */
-  private final class Digest {
-    private var h = 0xCBF29CE484222325L
-    def add(x: Long): Unit = h = (h ^ x) * 0x100000001B3L
-    def ints(a: Array[Int]): Unit = { add(a.length.toLong); a.foreach(x => add(x.toLong)) }
-    def doubles(a: Array[Double]): Unit = {
-      add(a.length.toLong); a.foreach(x => add(java.lang.Double.doubleToLongBits(x)))
-    }
-    def hex: String = f"$h%016x"
-  }
-
-  private def digest(f: Digest => Unit): String = { val d = new Digest; f(d); d.hex }
 
   private def csr(g: SocialGraph): String = digest { d =>
     d.add(g.n.toLong); d.add(if (g.undirected) 1L else 0L)

@@ -97,20 +97,20 @@ class ComICSpec extends AnyFunSuite with PropHelpers {
 
   test("Com-IC: with q=1 everywhere, both items flood the chain") {
     val gap = Gap(1.0, 1.0, 1.0, 1.0)
-    val (a, b) = ComIC.simulate(chain, Set(0), Set(0), gap, new SplittableRandom(1))
+    val (a, b) = ComicReference.simulate(chain, Set(0), Set(0), gap, new SplittableRandom(1))
     assert(a.forall(identity) && b.forall(identity))
   }
 
   test("Com-IC: with q=0 nothing is adopted") {
     val gap = Gap(0.0, 0.0, 0.0, 0.0)
-    val (a, b) = ComIC.simulate(chain, Set(0), Set(0), gap, new SplittableRandom(1))
+    val (a, b) = ComicReference.simulate(chain, Set(0), Set(0), gap, new SplittableRandom(1))
     assert(!a.exists(identity) && !b.exists(identity))
   }
 
   test("Com-IC: non-adopters block propagation") {
     // qA0 = 0 means node 0 never adopts A -> A never reaches node 1
     val gap = Gap(0.0, 0.0, 1.0, 1.0)
-    val (a, b) = ComIC.simulate(chain, Set(0), Set.empty, gap, new SplittableRandom(1))
+    val (a, b) = ComicReference.simulate(chain, Set(0), Set.empty, gap, new SplittableRandom(1))
     assert(!a.exists(identity))
     assert(!b.exists(identity)) // B was never seeded
   }
@@ -118,7 +118,7 @@ class ComICSpec extends AnyFunSuite with PropHelpers {
   test("Com-IC: reconsideration — B arriving later unlocks A") {
     // A alone is never adopted (qA0=0) but q_{A|B}=1; B always adopted.
     val gap = Gap(0.0, 1.0, 1.0, 1.0)
-    val (a, b) = ComIC.simulate(chain, Set(0), Set(0), gap, new SplittableRandom(1))
+    val (a, b) = ComicReference.simulate(chain, Set(0), Set(0), gap, new SplittableRandom(1))
     assert(b.forall(identity))
     assert(a.forall(identity), "B adoption must unlock A via reconsideration")
   }
@@ -130,7 +130,7 @@ class ComICSpec extends AnyFunSuite with PropHelpers {
     var aCount = 0; var bCount = 0
     val runs = 20000
     (0 until runs).foreach { _ =>
-      val (a, b) = ComIC.simulate(single, Set(0), Set.empty, gap, rng)
+      val (a, b) = ComicReference.simulate(single, Set(0), Set.empty, gap, rng)
       if (a(0)) aCount += 1
       if (b(0)) bCount += 1
     }

@@ -4,8 +4,9 @@ import java.util.SplittableRandom
 
 import org.scalatest.funsuite.AnyFunSuite
 
+import repro.Golden.{digest, hubs}
 import repro.core.{Allocation, Configs}
-import repro.epic.EpicSimulator
+import repro.epic.{EpicSimulator, HashedWorld}
 import repro.graph.{GraphGen, SocialGraph}
 import repro.im.{ICRRSampler, RRSampler, RRSets}
 import repro.items.{NoiseSpec, SetFunctions, UtilityModel, Valuations}
@@ -18,28 +19,14 @@ import repro.items.{NoiseSpec, SetFunctions, UtilityModel, Valuations}
   * the order in which they visit edges or settle nodes changes these
   * hashes. A refactor of the traversal code must leave them unchanged. The
   * suite lives in `repro.comic` to reach the package-private
-  * `reverseAdoptingSet`; `forwardSpread` is the test-scope reference of
-  * the samplers' adoption queries (`ComicReference`).
+  * `reverseAdoptingSet`. The forward spread and the Com-IC simulation are
+  * the test-scope references in `ComicReference`, and the hashed edge
+  * worlds are `HashedWorld`'s.
   */
 class GoldenOutputSpec extends AnyFunSuite {
 
-  /** 64-bit FNV-1a over a stream of longs. */
-  private final class Digest {
-    private var h = 0xCBF29CE484222325L
-    def add(x: Long): Unit = h = (h ^ x) * 0x100000001B3L
-    def ints(a: Array[Int]): Unit = { add(a.length.toLong); a.foreach(x => add(x.toLong)) }
-    def flags(a: Array[Boolean]): Unit = { a.indices.foreach(i => if (a(i)) add(i.toLong)); add(-1L) }
-    def hex: String = f"$h%016x"
-  }
-
-  private def digest(f: Digest => Unit): String = { val d = new Digest; f(d); d.hex }
-
   private lazy val directed = GraphGen.powerLawDirected("golden-d", 2000, 16000, seed = 5)
   private lazy val undirected = GraphGen.powerLawUndirected("golden-u", 1500, 6000, seed = 6)
-
-  /** Highest out-degree nodes first (ties to the smaller id). */
-  private def hubs(g: SocialGraph, k: Int): Array[Int] =
-    (0 until g.n).sortBy(u => (-g.outDeg(u), u)).take(k).toArray
 
   test("IC RR sets by sample id") {
     val sampler = new ICRRSampler(directed)
@@ -94,7 +81,7 @@ class GoldenOutputSpec extends AnyFunSuite {
       (0 until 200).foreach { w =>
         d.flags(ComicReference.forwardSpread(g, w.toLong, seeds, 0.3, 0.9, boosted(_), 13))
         d.ints(ComicBaselines.reverseAdoptingSet(g, w.toLong, (w * 7) % g.n,
-          u => EpicSimulator.hash01(w.toLong, u.toLong, 19) < 0.8))
+          u => RRSets.hash01(w.toLong, u.toLong, 19) < 0.8))
       }
     }
     assert(h == "5dd0f223a75f62ac")
@@ -115,7 +102,7 @@ class GoldenOutputSpec extends AnyFunSuite {
       val hFixed = digest { d =>
         (0 until 100).foreach { r =>
           val util = model.sampleUtilityTable(new SplittableRandom(RRSets.mix(37, r.toLong)))
-          d.ints(EpicSimulator.diffuseFixedWorld(g, alloc, util, RRSets.mix(41, r.toLong)))
+          d.ints(HashedWorld.diffuseFixedWorld(g, alloc, util, RRSets.mix(41, r.toLong)))
         }
       }
       (hLive, hFixed)
@@ -159,7 +146,7 @@ class GoldenOutputSpec extends AnyFunSuite {
            (Configs.config5, "bdba559961570512"))) {
       val h = digest { d =>
         (0 until 200).foreach { r =>
-          val (a, b) = ComIC.simulate(g, seedsA, seedsB, cfg.gap, new SplittableRandom(RRSets.mix(43, r.toLong)))
+          val (a, b) = ComicReference.simulate(g, seedsA, seedsB, cfg.gap, new SplittableRandom(RRSets.mix(43, r.toLong)))
           d.flags(a); d.flags(b)
         }
       }

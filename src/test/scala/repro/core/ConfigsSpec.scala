@@ -108,6 +108,7 @@ class ConfigsSpec extends AnyFunSuite {
     assert(Configs.realSplit(500).sum == 500)
     assert(Configs.realSplit(500).toSeq == Seq(150, 150, 100, 50, 50))
     assert(Configs.uniformSplit(10, 500).toSeq == Seq.fill(10)(50))
+    assert(Configs.uniformSplit(3, 500).toSeq == Seq(167, 167, 166))
     assert(Configs.skewedSplit(10, 500).sum == 500)
   }
 

@@ -2,9 +2,10 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 
+import repro.Golden.{digest, hubs}
 import repro.SparkSpec
 import repro.comic.ComicBaselines
-import repro.graph.{GraphGen, SocialGraph}
+import repro.graph.GraphGen
 import repro.im.PRIMM
 
 /** Golden outputs of the allocation algorithms: PRIMM's seeds, RR-set count
@@ -19,28 +20,8 @@ import repro.im.PRIMM
   */
 class GoldenAllocationSpec extends AnyFunSuite with SparkSpec {
 
-  /** 64-bit FNV-1a over a stream of longs. */
-  private final class Digest {
-    private var h = 0xCBF29CE484222325L
-    def add(x: Long): Unit = h = (h ^ x) * 0x100000001B3L
-    def ints(a: Array[Int]): Unit = { add(a.length.toLong); a.foreach(x => add(x.toLong)) }
-    def result(r: PRIMM.Result): Unit = {
-      ints(r.seeds); add(r.rrCount.toLong)
-      add(r.sigmaHat.length.toLong); r.sigmaHat.foreach(s => add(java.lang.Double.doubleToLongBits(s)))
-    }
-    def alloc(a: Allocation.Alloc): Unit =
-      a.toSeq.sorted.foreach { case (v, mask) => add(v.toLong); add(mask.toLong) }
-    def hex: String = f"$h%016x"
-  }
-
-  private def digest(f: Digest => Unit): String = { val d = new Digest; f(d); d.hex }
-
   private lazy val directed = GraphGen.powerLawDirected("golden-alloc-d", 2000, 16000, seed = 5)
   private lazy val undirected = GraphGen.powerLawUndirected("golden-alloc-u", 1500, 6000, seed = 6)
-
-  /** Highest out-degree nodes first (ties to the smaller id). */
-  private def hubs(g: SocialGraph, k: Int): Array[Int] =
-    (0 until g.n).sortBy(u => (-g.outDeg(u), u)).take(k).toArray
 
   test("PRIMM with several budgets") {
     val h = digest(_.result(PRIMM.run(spark, directed, Seq(40, 20, 5), seed = 3)))

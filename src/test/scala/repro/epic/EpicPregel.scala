@@ -10,7 +10,7 @@ import repro.items.Adoption
   * dataflow form of `EpicSimulator`, per the repro hint).
   *
   * The edge world is fixed up front via the same `(worldSeed, src, dst)`
-  * hash coupling used by `EpicSimulator.diffuseFixedWorld`, so both
+  * hash coupling used by `HashedWorld.diffuseFixedWorld`, so both
   * implementations walk the identical deterministic world and must agree
   * node-for-node — a cross-check enforced in tests.
   *
@@ -30,7 +30,7 @@ object EpicPregel {
       while (u < g.n) {
         var e = g.fwdOff(u)
         while (e < g.fwdOff(u + 1)) {
-          if (EpicSimulator.edgeLive(g, worldSeed)(e, u)) buf += Edge(u.toLong, g.fwdDst(e).toLong, ())
+          if (HashedWorld.edgeLive(g, worldSeed)(e, u)) buf += Edge(u.toLong, g.fwdDst(e).toLong, ())
           e += 1
         }
         u += 1

@@ -6,6 +6,7 @@ import org.scalatest.funsuite.AnyFunSuite
 
 import repro.PropHelpers
 import repro.graph.{GraphGen, SocialGraph}
+import repro.im.RRSets
 import repro.items._
 
 /** The paper's Example 1: network v1..v7, all edge probabilities 1.
@@ -57,8 +58,8 @@ class EpicSimulatorSpec extends AnyFunSuite with PropHelpers {
   }
 
   test("fixed-world diffusion is deterministic and replayable") {
-    val a1 = EpicSimulator.diffuseFixedWorld(g, greedyAlloc, util, worldSeed = 99)
-    val a2 = EpicSimulator.diffuseFixedWorld(g, greedyAlloc, util, worldSeed = 99)
+    val a1 = HashedWorld.diffuseFixedWorld(g, greedyAlloc, util, worldSeed = 99)
+    val a2 = HashedWorld.diffuseFixedWorld(g, greedyAlloc, util, worldSeed = 99)
     assert(a1.toSeq == a2.toSeq)
   }
 
@@ -67,11 +68,11 @@ class EpicSimulatorSpec extends AnyFunSuite with PropHelpers {
       val rng = new SplittableRandom(s)
       val graph = GraphGen.uniformDirected("t", 60, 240, seed = s)
       val alloc = Map(rng.nextInt(60) -> 7, rng.nextInt(60) -> 3)
-      val adoption = EpicSimulator.diffuseFixedWorld(graph, alloc, util, worldSeed = s)
+      val adoption = HashedWorld.diffuseFixedWorld(graph, alloc, util, worldSeed = s)
       // recompute live reachability with the same hash coupling
       val live = Array.tabulate(graph.n) { u =>
         (graph.fwdOff(u) until graph.fwdOff(u + 1))
-          .filter(e => EpicSimulator.edgeLive(graph, s)(e, u))
+          .filter(e => HashedWorld.edgeLive(graph, s)(e, u))
           .map(graph.fwdDst)
       }
       // BFS over live edges from every adopter of item i: all reached nodes must adopt i
@@ -99,8 +100,8 @@ class EpicSimulatorSpec extends AnyFunSuite with PropHelpers {
       val a2 = (a1.keySet ++ extra.keySet).map { v =>
         v -> (a1.getOrElse(v, 0) | extra.getOrElse(v, 0))
       }.toMap
-      val w1 = EpicSimulator.welfare(util, EpicSimulator.diffuseFixedWorld(graph, a1, util, s))
-      val w2 = EpicSimulator.welfare(util, EpicSimulator.diffuseFixedWorld(graph, a2, util, s))
+      val w1 = EpicSimulator.welfare(util, HashedWorld.diffuseFixedWorld(graph, a1, util, s))
+      val w2 = EpicSimulator.welfare(util, HashedWorld.diffuseFixedWorld(graph, a2, util, s))
       assert(w2 >= w1 - 1e-9, s"seed=$s: $w2 < $w1")
     }
   }
@@ -124,7 +125,7 @@ class EpicSimulatorSpec extends AnyFunSuite with PropHelpers {
     forSeeds(15) { s =>
       val graph = GraphGen.uniformDirected("t", 40, 160, seed = s)
       val alloc = Map(0 -> 7, 1 -> 3)
-      val adoption = EpicSimulator.diffuseFixedWorld(graph, alloc, util, s)
+      val adoption = HashedWorld.diffuseFixedWorld(graph, alloc, util, s)
       val w = adoption.map(util).sum
       val c = adoption.map(Integer.bitCount).sum
       assert(math.abs(EpicSimulator.welfare(util, adoption) - w) < 1e-9)
@@ -133,8 +134,8 @@ class EpicSimulatorSpec extends AnyFunSuite with PropHelpers {
   }
 
   test("hash01 is uniform-ish and deterministic") {
-    val xs = (0 until 10000).map(i => EpicSimulator.hash01(42, i, 7))
-    assert(xs == (0 until 10000).map(i => EpicSimulator.hash01(42, i, 7)))
+    val xs = (0 until 10000).map(i => RRSets.hash01(42, i, 7))
+    assert(xs == (0 until 10000).map(i => RRSets.hash01(42, i, 7)))
     val mean = xs.sum / xs.size
     assert(math.abs(mean - 0.5) < 0.02)
     assert(xs.forall(x => x >= 0.0 && x < 1.0))

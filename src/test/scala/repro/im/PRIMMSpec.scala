@@ -19,6 +19,12 @@ class PRIMMSpec extends AnyFunSuite with SparkSpec {
     intercept[IllegalArgumentException](PRIMM.run(spark, g, Seq(1, 3)))
   }
 
+  test("a one-node graph is rejected") {
+    // ln n = 0 makes PRIMM's sample-size bounds NaN
+    val g = SocialGraph.fromEdges("one", 1, Array.empty[(Int, Int)])
+    intercept[IllegalArgumentException](PRIMM.run(spark, g, Seq(1)))
+  }
+
   // --- deterministic (p = 1) graph: sigma is exact reachability --------
 
   /** 40-node graph, p = 1: three hubs with disjoint-ish audiences. */
@@ -107,33 +113,33 @@ class PRIMMSpec extends AnyFunSuite with SparkSpec {
     assert(math.abs(est - act) < 0.25 * act, s"est=$est act=$act")
   }
 
+  /** Mean IC spread of `seeds` over `runs` forward simulations drawn from `SplittableRandom(rngSeed)`. */
+  private def mcSpread(g: SocialGraph, seeds: Array[Int], runs: Int, rngSeed: Long): Double = {
+    val rng = new java.util.SplittableRandom(rngSeed)
+    var total = 0L
+    (0 until runs).foreach { _ =>
+      val seen = scala.collection.mutable.Set(seeds.toSeq: _*)
+      val stack = scala.collection.mutable.Stack(seeds.toSeq: _*)
+      while (stack.nonEmpty) {
+        val u = stack.pop()
+        var e = g.fwdOff(u)
+        while (e < g.fwdOff(u + 1)) {
+          val v = g.fwdDst(e)
+          if (!seen.contains(v) && rng.nextDouble() < g.fwdProb(e)) { seen += v; stack.push(v) }
+          e += 1
+        }
+      }
+      total += seen.size
+    }
+    total.toDouble / runs
+  }
+
   test("IMM on a probabilistic graph beats random seeds") {
     val g = GraphGen.powerLawDirected("p", 400, 3000, seed = 11)
     val res = PRIMM.imm(spark, g, 5, eps = 0.5, seed = 12)
     // MC spread of chosen seeds vs 5 random nodes
-    def mcSpread(seeds: Array[Int], runs: Int): Double = {
-      val rng = new java.util.SplittableRandom(77)
-      var total = 0L
-      (0 until runs).foreach { _ =>
-        val seen = scala.collection.mutable.Set(seeds.toSeq: _*)
-        val stack = scala.collection.mutable.Stack(seeds.toSeq: _*)
-        while (stack.nonEmpty) {
-          val u = stack.pop()
-          var e = g.fwdOff(u)
-          while (e < g.fwdOff(u + 1)) {
-            val v = g.fwdDst(e)
-            if (!seen.contains(v) && rng.nextDouble() < g.fwdProb(e)) {
-              seen += v; stack.push(v)
-            }
-            e += 1
-          }
-        }
-        total += seen.size
-      }
-      total.toDouble / runs
-    }
-    val immSpread = mcSpread(res.seeds, 300)
-    val rndSpread = mcSpread(Array(7, 77, 177, 277, 377), 300)
+    val immSpread = mcSpread(g, res.seeds, 300, rngSeed = 77)
+    val rndSpread = mcSpread(g, Array(7, 77, 177, 277, 377), 300, rngSeed = 77)
     assert(immSpread > rndSpread, s"imm=$immSpread rnd=$rndSpread")
   }
 
@@ -141,28 +147,9 @@ class PRIMMSpec extends AnyFunSuite with SparkSpec {
     val g = GraphGen.powerLawDirected("p", 400, 3000, seed = 13)
     val budgets = Seq(8, 4, 2)
     val primm = PRIMM.run(spark, g, budgets, eps = 0.5, seed = 14)
-    def mcSpread(seeds: Array[Int], runs: Int): Double = {
-      val rng = new java.util.SplittableRandom(88)
-      var total = 0L
-      (0 until runs).foreach { _ =>
-        val seen = scala.collection.mutable.Set(seeds.toSeq: _*)
-        val stack = scala.collection.mutable.Stack(seeds.toSeq: _*)
-        while (stack.nonEmpty) {
-          val u = stack.pop()
-          var e = g.fwdOff(u)
-          while (e < g.fwdOff(u + 1)) {
-            val v = g.fwdDst(e)
-            if (!seen.contains(v) && rng.nextDouble() < g.fwdProb(e)) { seen += v; stack.push(v) }
-            e += 1
-          }
-        }
-        total += seen.size
-      }
-      total.toDouble / runs
-    }
     for (k <- budgets) {
-      val prefixSpread = mcSpread(primm.seeds.take(k), 400)
-      val directSpread = mcSpread(PRIMM.imm(spark, g, k, eps = 0.5, seed = 15).seeds, 400)
+      val prefixSpread = mcSpread(g, primm.seeds.take(k), 400, rngSeed = 88)
+      val directSpread = mcSpread(g, PRIMM.imm(spark, g, k, eps = 0.5, seed = 15).seeds, 400, rngSeed = 88)
       assert(prefixSpread >= 0.8 * directSpread,
         s"k=$k: prefix spread $prefixSpread vs direct IMM $directSpread")
     }

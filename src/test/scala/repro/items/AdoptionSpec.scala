@@ -195,12 +195,12 @@ class AdoptionSpec extends AnyFunSuite with PropHelpers {
   }
 
   test("globalOptimum finds I* (all items in the example)") {
-    assert(Adoption.globalOptimum(exampleUtil) == 7)
+    assert(BlockAccounting.globalOptimum(exampleUtil) == 7)
   }
 
   test("globalOptimum is empty when everything has negative utility") {
     val util = Array(0.0, -1.0, -1.0, -0.5)
-    assert(Adoption.globalOptimum(util) == 0)
+    assert(BlockAccounting.globalOptimum(util) == 0)
   }
 
   test("adoption is idempotent: adopting again from the same desire changes nothing") {

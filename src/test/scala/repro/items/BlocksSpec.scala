@@ -27,14 +27,14 @@ class BlocksSpec extends AnyFunSuite with PropHelpers {
   }
 
   test("Example 3: blocks are B1={i1,i3}, B2={i2} with deltas 1 and 3") {
-    val bs = Blocks.generate(ex3Util, ex3Budgets)
+    val bs = BlockAccounting.generate(ex3Util, ex3Budgets)
     assert(bs.iStar == 7)
     assert(bs.blocks == Vector(0b101, 0b010))
     assert(bs.deltas.map(d => math.round(d).toInt) == Vector(1, 3))
   }
 
   test("Example 4: proposed and effective budgets") {
-    val bs = Blocks.generate(ex3Util, ex3Budgets)
+    val bs = BlockAccounting.generate(ex3Util, ex3Budgets)
     assert(bs.proposedBudget(0) == 1) // min(b1, b3) = b3 = 1
     assert(bs.proposedBudget(1) == 2) // b2
     assert(bs.effectiveBudget(0) == 1)
@@ -44,7 +44,7 @@ class BlocksSpec extends AnyFunSuite with PropHelpers {
   }
 
   test("Example 5: anchors — B2's anchor block is B1, anchor item i3 for both") {
-    val bs = Blocks.generate(ex3Util, ex3Budgets)
+    val bs = BlockAccounting.generate(ex3Util, ex3Budgets)
     assert(bs.anchorBlockIdx(1) == 0)
     assert(bs.anchorItem(1) == 2) // i3 (0-based index 2)
     assert(bs.anchorBlockIdx(0) == 0)
@@ -55,7 +55,7 @@ class BlocksSpec extends AnyFunSuite with PropHelpers {
     forSeeds(50) { s =>
       val rng = new SplittableRandom(s)
       val (util, budgets) = randomInstance(rng)
-      val bs = Blocks.generate(util, budgets)
+      val bs = BlockAccounting.generate(util, budgets)
       val union = bs.blocks.foldLeft(0)(_ | _)
       assert(union == bs.iStar, s"seed=$s")
       val total = bs.blocks.map(Integer.bitCount).sum
@@ -67,7 +67,7 @@ class BlocksSpec extends AnyFunSuite with PropHelpers {
     forSeeds(50) { s =>
       val rng = new SplittableRandom(s)
       val (util, budgets) = randomInstance(rng)
-      val bs = Blocks.generate(util, budgets)
+      val bs = BlockAccounting.generate(util, budgets)
       bs.deltas.foreach(d => assert(d >= -1e-9, s"seed=$s"))
       assert(math.abs(bs.deltas.sum - util(bs.iStar)) < 1e-6, s"seed=$s")
     }
@@ -87,7 +87,7 @@ class BlocksSpec extends AnyFunSuite with PropHelpers {
     forSeeds(40) { s =>
       val rng = new SplittableRandom(s)
       val (util, budgets) = randomInstance(rng)
-      val bs = Blocks.generate(util, budgets)
+      val bs = BlockAccounting.generate(util, budgets)
       // random A subset of I*; check each partial A_i has Delta_i^A < 0
       val a = rng.nextInt(1 << budgets.length) & bs.iStar
       var prefix = 0
@@ -104,7 +104,7 @@ class BlocksSpec extends AnyFunSuite with PropHelpers {
     forSeeds(40) { s =>
       val rng = new SplittableRandom(s)
       val (util, budgets) = randomInstance(rng)
-      val bs = Blocks.generate(util, budgets)
+      val bs = BlockAccounting.generate(util, budgets)
       val a = rng.nextInt(1 << budgets.length) & bs.iStar
       var prefixA = 0
       for (i <- bs.blocks.indices) {
@@ -120,7 +120,7 @@ class BlocksSpec extends AnyFunSuite with PropHelpers {
     forSeeds(40) { s =>
       val rng = new SplittableRandom(s)
       val (util, budgets) = randomInstance(rng)
-      val bs = Blocks.generate(util, budgets)
+      val bs = BlockAccounting.generate(util, budgets)
       for (i <- bs.blocks.indices)
         assert(bs.effectiveBudget(i) == bs.proposedBudget(bs.anchorBlockIdx(i)), s"seed=$s block=$i")
     }
@@ -128,20 +128,20 @@ class BlocksSpec extends AnyFunSuite with PropHelpers {
 
   test("rankedToOrigMask round-trips") {
     val order = Array(2, 0, 1) // rank 0 -> item 2, etc.
-    assert(Blocks.rankedToOrigMask(0b001, order) == 0b100)
-    assert(Blocks.rankedToOrigMask(0b110, order) == 0b011)
-    for (m <- 0 until 8) assert(Blocks.toRanked(Blocks.rankedToOrigMask(m, order), order) == m)
+    assert(BlockAccounting.rankedToOrigMask(0b001, order) == 0b100)
+    assert(BlockAccounting.rankedToOrigMask(0b110, order) == 0b011)
+    for (m <- 0 until 8) assert(Blocks.toRanked(BlockAccounting.rankedToOrigMask(m, order), order) == m)
   }
 
   test("single positive item becomes a single block") {
     val util = Array(0.0, 2.0) // one item, positive
-    val bs = Blocks.generate(util, Array(5))
+    val bs = BlockAccounting.generate(util, Array(5))
     assert(bs.blocks == Vector(1) && math.abs(bs.deltas.head - 2.0) < 1e-12)
   }
 
   test("all-negative universe yields no blocks") {
     val util = Array(0.0, -1.0, -2.0, -0.5)
-    val bs = Blocks.generate(util, Array(2, 1))
+    val bs = BlockAccounting.generate(util, Array(2, 1))
     assert(bs.iStar == 0 && bs.blocks.isEmpty)
   }
 
