@@ -8,6 +8,5 @@ object JobSession {
     SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(app)
-      .config("spark.sql.shuffle.partitions", 64)
       .getOrCreate()
 }

@@ -25,7 +25,10 @@ object GraphGen {
     lo
   }
 
-  private def cumWeights(n: Int, alpha: Double): Array[Double] = {
+  /** The Zipf exponent of the endpoint weights. */
+  private final val alpha = 0.8
+
+  private def cumWeights(n: Int): Array[Double] = {
     val cum = new Array[Double](n)
     var acc = 0.0
     var r = 0
@@ -39,10 +42,9 @@ object GraphGen {
     * permutations for source and destination so that high out-degree and
     * high in-degree hubs are not the same nodes by construction.
     */
-  def powerLawDirected(name: String, n: Int, targetEdges: Int,
-                       alpha: Double = 0.8, seed: Long = 7): SocialGraph = {
+  def powerLawDirected(name: String, n: Int, targetEdges: Int, seed: Long = 7): SocialGraph = {
     val rng = new SplittableRandom(seed)
-    val cum = cumWeights(n, alpha)
+    val cum = cumWeights(n)
     val permSrc = permutation(n, new SplittableRandom(seed ^ 0x9E3779B97F4A7C15L))
     val permDst = permutation(n, new SplittableRandom(seed ^ 0xC2B2AE3D27D4EB4FL))
     distinctArcs(name, n, targetEdges, targetEdges.toLong * 20, undirected = false)(
@@ -52,10 +54,9 @@ object GraphGen {
   /** Generate an undirected power-law graph: `targetEdges` unique pairs,
     * stored as both directions (so the CSR holds `2*targetEdges` arcs).
     */
-  def powerLawUndirected(name: String, n: Int, targetEdges: Int,
-                         alpha: Double = 0.8, seed: Long = 7): SocialGraph = {
+  def powerLawUndirected(name: String, n: Int, targetEdges: Int, seed: Long = 7): SocialGraph = {
     val rng = new SplittableRandom(seed)
-    val cum = cumWeights(n, alpha)
+    val cum = cumWeights(n)
     val perm = permutation(n, new SplittableRandom(seed ^ 0x9E3779B97F4A7C15L))
     distinctArcs(name, n, targetEdges, targetEdges.toLong * 20, undirected = true)(
       perm(draw(cum, rng)), perm(draw(cum, rng)))

@@ -1,8 +1,5 @@
 package repro.graph
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
-
 /** Compact immutable social network used by the diffusion and IM engines.
   *
   * The graph is stored twice in CSR form: forward (out-edges, used by the
@@ -50,29 +47,6 @@ final case class SocialGraph(
     * undirected edge (stored both ways) adds to both endpoints' degrees.
     */
   def avgDegree: Double = m.toDouble / n
-
-  /** Edges as a DataFrame `(src, dst, p)` — the dataflow-facing view. */
-  def edgesDF(spark: SparkSession): DataFrame = {
-    import spark.implicits._
-    val rows = for {
-      u <- (0 until n).iterator
-      e <- (fwdOff(u) until fwdOff(u + 1)).iterator
-    } yield (u, fwdDst(e), fwdProb(e))
-    spark.createDataset(rows.toSeq).toDF("src", "dst", "p")
-  }
-
-  /** Table-2 style statistics row computed with the DataFrame API. */
-  def statsDF(spark: SparkSession): DataFrame = {
-    val e = edgesDF(spark)
-    val edgeCount = if (undirected) count(lit(1)) / 2 else count(lit(1))
-    e.agg(
-      lit(name) as "network",
-      lit(n) as "nodes",
-      edgeCount as "edges",
-      round(count(lit(1)) / lit(n.toDouble), 2) as "avg_degree",
-      lit(if (undirected) "undirected" else "directed") as "type",
-    )
-  }
 }
 
 object SocialGraph {

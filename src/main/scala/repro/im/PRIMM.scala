@@ -49,6 +49,7 @@ object PRIMM {
     require(budgets.nonEmpty && budgets.forall(_ >= 1))
     require(budgets.zip(budgets.tail).forall { case (a, b) => a >= b },
       "budgets must be sorted non-increasingly")
+    require(maxRR >= 1, s"maxRR must allow at least one RR set, got $maxRR")
     val n = g.n
     require(n >= 2, s"PRIMM needs at least 2 nodes, got $n: its sample-size bounds divide by ln n")
     val bMax = budgets.head

@@ -2,9 +2,7 @@ package repro.graph
 
 import org.scalatest.funsuite.AnyFunSuite
 
-import repro.{Oracle, SparkSpec}
-
-class SocialGraphSpec extends AnyFunSuite with SparkSpec {
+class SocialGraphSpec extends AnyFunSuite {
 
   // v0 -> v1, v0 -> v2, v1 -> v2, v2 -> v3
   private val edges = Array((0, 1), (0, 2), (1, 2), (2, 3))
@@ -39,44 +37,8 @@ class SocialGraphSpec extends AnyFunSuite with SparkSpec {
     assert(g2.revProb.toSeq.sorted == Seq(0.25, 0.75))
   }
 
-  test("edgesDF rows are the CSR edges with their probabilities") {
-    val rows = g.edgesDF(spark).collect().map(r => (r.getInt(0), r.getInt(1), r.getDouble(2)))
-    val csr = for (u <- 0 until g.n; e <- g.fwdOff(u) until g.fwdOff(u + 1))
-      yield (u, g.fwdDst(e), g.fwdProb(e))
-    assert(rows.toSeq.sorted == csr.sorted)
-  }
-
   test("out-of-range edges rejected") {
     intercept[IllegalArgumentException](SocialGraph.fromEdges("bad", 2, Array((0, 5))))
-  }
-
-  test("Oracle: in-degree distribution via DataFrame matches DuckDB") {
-    import org.apache.spark.sql.functions._
-    val df = g.edgesDF(spark).select(col("src"), col("dst"))
-    val agg = df.groupBy(col("dst")).agg(count(lit(1)) as "indeg")
-    Oracle.assertEquivalent(
-      agg,
-      "SELECT dst, count(*) AS indeg FROM edges GROUP BY dst",
-      "edges" -> df,
-    )
-  }
-
-  test("Oracle: edge count and distinct sources match DuckDB") {
-    import org.apache.spark.sql.functions._
-    val df = g.edgesDF(spark).select(col("src"), col("dst"))
-    val agg = df.agg(count(lit(1)) as "m", countDistinct(col("src")) as "nsrc")
-    Oracle.assertEquivalent(
-      agg,
-      "SELECT count(*) AS m, count(DISTINCT src) AS nsrc FROM edges",
-      "edges" -> df,
-    )
-  }
-
-  test("statsDF reports name, node and edge counts") {
-    val row = g.statsDF(spark).collect().head
-    assert(row.getString(0) == "toy")
-    assert(row.getInt(1) == 4)
-    assert(row.getLong(2) == 4L)
   }
 
   test("avgDegree: directed = m/n; undirected counts each pair once") {

@@ -166,6 +166,8 @@ class PRIMMSpec extends AnyFunSuite with SparkSpec {
     val g = detGraph
     val res = PRIMM.imm(spark, g, 2, eps = 0.3, seed = 9, maxRR = 100)
     assert(res.rrCount <= 100)
+    for (cap <- Seq(0, -5))
+      intercept[IllegalArgumentException](PRIMM.imm(spark, g, 2, eps = 0.3, seed = 9, maxRR = cap))
   }
 
   test("duplicate budgets are accepted and still return the max-budget prefix") {

@@ -22,7 +22,7 @@ class TableDefinitionsSpec extends AnyFunSuite with SparkSpec {
   }
 
   test("Table 2 has one row per graph") {
-    assertShape(Table2NetworkStats.run(spark, Seq(g)),
+    assertShape(Table2NetworkStats.table(Seq(g)),
       Seq("network", "nodes", "edges", "avg_degree", "type"), 1)
   }
 
