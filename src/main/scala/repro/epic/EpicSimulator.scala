@@ -32,14 +32,15 @@ object EpicSimulator {
     val rule = new Adoption.Memo(util) // this world's nodes all share `util`
 
     // t = 1: seeds desire their allocation and adopt the best subset.
-    val seeds = Array.newBuilder[Int]
+    val seeds = new Array[Int](alloc.size)
+    var nSeeds = 0
     for ((v, mask) <- alloc if mask != 0) {
       desire(v) |= mask
       val a = rule.adopt(desire(v), 0)
-      if (a != adoption(v)) { adoption(v) = a; seeds += v }
+      if (a != adoption(v)) { adoption(v) = a; seeds(nSeeds) = v; nSeeds += 1 }
     }
 
-    Traversal.sweep(g, seeds.result()) { (u, e) =>
+    Traversal.sweep(g, java.util.Arrays.copyOf(seeds, nSeeds)) { (u, e) =>
       coins.live(e, u) && {
         val v = g.fwdDst(e)
         val aU = adoption(u)

@@ -36,6 +36,11 @@ object Welfare {
   def estimate(spark: SparkSession, g: SocialGraph, alloc: Map[Int, Int],
                model: UtilityModel, runs: Int, seed: Long = 42): Estimate = {
     require(runs >= 1, s"welfare needs at least one run, got $runs")
+    val items = (1 << model.k) - 1
+    for ((v, mask) <- alloc) {
+      require(v >= 0 && v < g.n, s"allocated node $v is not in [0, ${g.n})")
+      require((mask & ~items) == 0, s"node $v is allocated mask $mask, which names an item beyond the model's ${model.k}")
+    }
     // The pattern shadows the outer values, so the task closure cannot capture them.
     val rows = SeededBatch.run(spark, (g, alloc, model), seed) { case ((g, alloc, model), rng) =>
       val util = model.sampleUtilityTable(rng)

@@ -1,7 +1,5 @@
 package repro.graph
 
-import scala.collection.mutable.ArrayBuilder
-
 /** The two graph traversals every diffusion model shares: the reverse BFS
   * behind all RR-set samplers (and the Com-IC samplers' adoption queries)
   * and the forward frontier loop behind EPIC and Com-IC diffusion. Callers
@@ -93,41 +91,73 @@ object Traversal {
     }
   }
 
+  /** Per-thread working memory of one forward sweep, `n` entries each
+    * (grown when a larger graph comes): a touched flag per node (all false
+    * between calls), the frontier and the touched list.
+    */
+  private final class SweepScratch {
+    var inTouched = new Array[Boolean](0)
+    var front = new Array[Int](0)
+    var touched = new Array[Int](0)
+    var busy = false
+  }
+  private val sweepScratch = ThreadLocal.withInitial[SweepScratch](() => new SweepScratch)
+
   /** Round-based forward propagation from `frontier`. Each round, every
     * frontier node `u` (in frontier order) calls `relax(u, e)` on each
     * out-edge `e` (in CSR order); a `true` touches `g.fwdDst(e)`. Then each
     * touched node (once, in first-touch order) calls `settle(v)`, and the
     * nodes for which it returns `true` form the next frontier.
+    *
+    * After the first round, which reads `frontier` itself, the sweep runs
+    * in per-thread scratch arrays, so concurrent calls on different threads
+    * are independent. The callbacks must not call `sweep`: a nested call on
+    * the same thread throws.
     */
   def sweep(g: SocialGraph, frontier: Array[Int])(relax: (Int, Int) => Boolean)(settle: Int => Boolean): Unit = {
+    val s = sweepScratch.get
+    require(!s.busy, "sweep re-entered from its callback")
+    if (s.inTouched.length < g.n) {
+      s.inTouched = new Array[Boolean](g.n); s.front = new Array[Int](g.n); s.touched = new Array[Int](g.n)
+    }
+    val inTouched = s.inTouched
+    val touched = s.touched
     var front = frontier
-    val inTouched = new Array[Boolean](g.n)
-    while (front.nonEmpty) {
-      val touched = new ArrayBuilder.ofInt
-      var i = 0
-      while (i < front.length) {
-        val u = front(i)
-        var e = g.fwdOff(u)
-        val end = g.fwdOff(u + 1)
-        while (e < end) {
-          if (relax(u, e)) {
-            val v = g.fwdDst(e)
-            if (!inTouched(v)) { inTouched(v) = true; touched += v }
+    var size = frontier.length
+    var nTouched = 0
+    s.busy = true
+    try {
+      while (size > 0) {
+        var i = 0
+        while (i < size) {
+          val u = front(i)
+          var e = g.fwdOff(u)
+          val end = g.fwdOff(u + 1)
+          while (e < end) {
+            if (relax(u, e)) {
+              val v = g.fwdDst(e)
+              if (!inTouched(v)) { inTouched(v) = true; touched(nTouched) = v; nTouched += 1 }
+            }
+            e += 1
           }
-          e += 1
+          i += 1
         }
-        i += 1
+        // The frontier has been read: the next one (a subset of the touched nodes) overwrites it.
+        front = s.front
+        size = 0
+        i = 0
+        while (i < nTouched) {
+          val v = touched(i)
+          inTouched(v) = false
+          if (settle(v)) { front(size) = v; size += 1 }
+          i += 1
+        }
+        nTouched = 0
       }
-      val settling = touched.result()
-      val next = new ArrayBuilder.ofInt
-      i = 0
-      while (i < settling.length) {
-        val v = settling(i)
-        inTouched(v) = false
-        if (settle(v)) next += v
-        i += 1
-      }
-      front = next.result()
+    } finally {
+      var i = 0
+      while (i < nTouched) { inTouched(touched(i)) = false; i += 1 }
+      s.busy = false
     }
   }
 

@@ -57,6 +57,11 @@ class WelfareSpec extends AnyFunSuite with SparkSpec {
     assert(Welfare.estimate(spark, g, greedyAlloc, model, runs = 8, seed = 3).stderr == 0.0)
   }
 
+  test("an allocation outside the graph or the items fails on the driver") {
+    for (bad <- Seq(Map(g.n -> 1), Map(-1 -> 1), Map(0 -> 3, 1 -> (1 << model.k))))
+      intercept[IllegalArgumentException](Welfare.estimate(spark, g, bad, model, runs = 2, seed = 1))
+  }
+
   test("zero-budget (empty) allocation has zero welfare") {
     val est = Welfare.estimate(spark, g, Map.empty, model, runs = 4, seed = 2)
     assert(est.welfare == 0.0 && est.adoptions == 0.0)
