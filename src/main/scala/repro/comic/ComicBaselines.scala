@@ -43,7 +43,7 @@ object ComicBaselines {
     def passes(v: Int): Boolean = hash01(w, v.toLong, salt) < q(v)
     passes(u) && Traversal.reverseReaches(g, u) { (e, v) =>
       val t = g.revSrc(e)
-      edgeLive(g, w, t, v, g.revProb(e)) && passes(t)
+      edgeLive(g, w, t, v, g.revP(e, v)) && passes(t)
     }(isSeed(_))
   }
 
@@ -56,7 +56,7 @@ object ComicBaselines {
     if (!adopts(root)) Array.empty
     else Traversal.reverseReach(g, root) { (e, v) =>
       val u = g.revSrc(e)
-      edgeLive(g, w, u, v, g.revProb(e)) && adopts(u)
+      edgeLive(g, w, u, v, g.revP(e, v)) && adopts(u)
     }
 
   /** Seed flags per node of `g`; every seed must be a node of `g`. */

@@ -21,7 +21,7 @@ object EpicSimulator {
   /** Diffuse with a live RNG deciding edge coins (fresh edge world). */
   def diffuse(g: SocialGraph, alloc: Map[Int, Int], util: Array[Double],
               rng: SplittableRandom): Array[Int] =
-    run(g, alloc, util, (e, _) => rng.nextDouble() < g.fwdProb(e))
+    run(g, alloc, util, (e, _) => rng.nextDouble() < g.fwdP(e))
 
   /** Diffuse with `testEdge(e, src)` deciding each edge's coin. */
   private[epic] def run(g: SocialGraph, alloc: Map[Int, Int], util: Array[Double],

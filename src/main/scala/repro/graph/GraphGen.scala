@@ -79,7 +79,11 @@ object GraphGen {
                           (src: => Int, dst: => Int): SocialGraph = {
     val width = if (undirected) 2 else 1
     val us, vs = new Array[Int](target * width)
-    val seen = new java.util.HashSet[Long](target * 2)
+    // Arcs kept so far, as keys `u * n + v` in an open-addressing table of
+    // at least `2 * target` slots, so it is never more than half full.
+    val slots = Integer.highestOneBit(math.max(1, 2 * target - 1)) << 1
+    val seen = new Array[Long](slots)
+    java.util.Arrays.fill(seen, -1L)
     var found = 0
     var attempts = 0L
     while (found < target && attempts < maxAttempts) {
@@ -87,7 +91,12 @@ object GraphGen {
       if (a != b) {
         val u = if (undirected) math.min(a, b) else a
         val v = if (undirected) math.max(a, b) else b
-        if (seen.add(u.toLong * n + v)) {
+        val key = u.toLong * n + v
+        val h = key * 0x9E3779B97F4A7C15L
+        var i = (h ^ (h >>> 32)).toInt & (slots - 1)
+        while (seen(i) != -1L && seen(i) != key) i = (i + 1) & (slots - 1)
+        if (seen(i) == -1L) {
+          seen(i) = key
           us(found * width) = u; vs(found * width) = v
           if (undirected) { us(found * 2 + 1) = v; vs(found * 2 + 1) = u }
           found += 1

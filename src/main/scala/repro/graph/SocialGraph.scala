@@ -5,21 +5,23 @@ package repro.graph
   * The graph is stored twice in CSR form: forward (out-edges, used by the
   * diffusion simulators) and reverse (in-edges, used by RR-set sampling).
   * Influence probabilities follow the weighted-cascade convention of the
-  * paper (§6.1.3): `p(u,v) = 1 / d_in(v)`, unless explicit probabilities
-  * are supplied.
+  * paper (§6.1.3): `p(u,v) = 1 / d_in(v)`, held once per node in `wcProb`,
+  * unless explicit probabilities are supplied, which are held per arc in
+  * `fwdProb` and `revProb`. Read them through [[fwdP]] and [[revP]].
   *
   * The whole structure is a value object of primitive arrays so it can be
   * broadcast to Spark executors: a few MB for the small stand-ins, about
-  * 84 MB for the Twitter stand-in (50K nodes, 3.5M edges).
+  * 28 MB for the Twitter stand-in (50K nodes, 3.5M edges).
   *
   * @param name       human-readable dataset name
   * @param n          number of nodes; node ids are `0 until n`
   * @param fwdOff     forward CSR offsets, length `n+1`
   * @param fwdDst     forward CSR targets, length `m`
-  * @param fwdProb    probability of edge `u -> fwdDst(e)` (indexed like `fwdDst`)
+  * @param fwdProb    explicit probability of edge `u -> fwdDst(e)` (indexed like `fwdDst`); empty under weighted cascade
   * @param revOff     reverse CSR offsets, length `n+1`
   * @param revSrc     reverse CSR sources, length `m`
-  * @param revProb    probability of edge `revSrc(e) -> v` (indexed like `revSrc`)
+  * @param revProb    explicit probability of edge `revSrc(e) -> v` (indexed like `revSrc`); empty under weighted cascade
+  * @param wcProb     weighted-cascade `1 / d_in(v)` per node, length `n`; empty when probabilities are explicit
   * @param undirected true when the dataset is undirected (edges stored both ways)
   */
 final case class SocialGraph(
@@ -31,6 +33,7 @@ final case class SocialGraph(
     revOff: Array[Int],
     revSrc: Array[Int],
     revProb: Array[Double],
+    wcProb: Array[Double],
     undirected: Boolean,
 ) extends Serializable {
 
@@ -43,6 +46,12 @@ final case class SocialGraph(
   /** In-degree of node `v`. */
   def inDeg(v: Int): Int = revOff(v + 1) - revOff(v)
 
+  /** Probability of forward arc `e`, the edge `u -> fwdDst(e)`. */
+  def fwdP(e: Int): Double = if (wcProb.length > 0) wcProb(fwdDst(e)) else fwdProb(e)
+
+  /** Probability of reverse arc `e` of node `v`, the edge `revSrc(e) -> v`. */
+  def revP(e: Int, v: Int): Double = if (wcProb.length > 0) wcProb(v) else revProb(e)
+
   /** Average degree as reported in Table 2: stored arcs per node, so an
     * undirected edge (stored both ways) adds to both endpoints' degrees.
     */
@@ -52,9 +61,9 @@ final case class SocialGraph(
 object SocialGraph {
 
   /** The one CSR builder: arc `i` is `src(i) -> dst(i)` with probability
-    * `prob(i)`, or the weighted-cascade `1 / d_in(dst(i))` when `prob` is
-    * `None`. Each arc is checked to lie in `[0, n)` once, and each node's
-    * arcs keep their input order in both CSRs.
+    * `prob(i)`, which must lie in `[0, 1]`, or the weighted-cascade
+    * `1 / d_in(dst(i))` when `prob` is `None`. Each arc is checked to lie in
+    * `[0, n)` once, and each node's arcs keep their input order in both CSRs.
     *
     * @param undirected label only: callers building undirected networks
     *                   pass both arc directions themselves.
@@ -74,20 +83,26 @@ object SocialGraph {
     }
     var i = 0
     while (i < n) { fwdOff(i + 1) += fwdOff(i); revOff(i + 1) += revOff(i); i += 1 }
-    val fwdDst = new Array[Int](m); val fwdProb = new Array[Double](m)
-    val revSrc = new Array[Int](m); val revProb = new Array[Double](m)
+    val probs = prob.orNull
+    val fwdDst = new Array[Int](m); val revSrc = new Array[Int](m)
+    val fwdProb, revProb = if (probs == null) Array.emptyDoubleArray else new Array[Double](m)
     val fCur = java.util.Arrays.copyOf(fwdOff, n)
     val rCur = java.util.Arrays.copyOf(revOff, n)
-    val probs = prob.orNull
     e = 0
     while (e < m) {
       val u = src(e); val v = dst(e)
-      val p = if (probs != null) probs(e) else 1.0 / (revOff(v + 1) - revOff(v))
-      fwdDst(fCur(u)) = v; fwdProb(fCur(u)) = p; fCur(u) += 1
-      revSrc(rCur(v)) = u; revProb(rCur(v)) = p; rCur(v) += 1
+      if (probs != null) {
+        val p = probs(e)
+        require(p >= 0.0 && p <= 1.0, s"edge ($u,$v) has probability $p outside [0,1]")
+        fwdProb(fCur(u)) = p; revProb(rCur(v)) = p
+      }
+      fwdDst(fCur(u)) = v; fCur(u) += 1
+      revSrc(rCur(v)) = u; rCur(v) += 1
       e += 1
     }
-    SocialGraph(name, n, fwdOff, fwdDst, fwdProb, revOff, revSrc, revProb, undirected)
+    val wcProb =
+      if (probs != null) Array.emptyDoubleArray else Array.tabulate(n)(v => 1.0 / (revOff(v + 1) - revOff(v)))
+    SocialGraph(name, n, fwdOff, fwdDst, fwdProb, revOff, revSrc, revProb, wcProb, undirected)
   }
 
   /** [[fromArcs]] over `(u, v)` pairs with weighted-cascade probabilities. */

@@ -30,6 +30,7 @@ object BenchmarkApiGuard {
   def shapes(spark: SparkSession, g: SocialGraph, seed: Long): Unit = {
     val graphs: Seq[SocialGraph] =
       Seq(GraphGen.twitterLite(seed), GraphGen.doubanMovieLite(seed), GraphGen.flixsterLite(seed))
+    val probArcs: Int = g.fwdProb.length + g.revProb.length
     val budgets: Array[Int] = Fig5MultiItemWelfare.budgetsFor(7, 10, 1000)
     val cfg: Configs.Config = Fig5MultiItemWelfare.configFor(7, 10, budgets)
     val configs: Seq[Configs.Config] = Seq(Configs.config1, Configs.config7(10), Configs.config10(10))
@@ -65,6 +66,6 @@ object BenchmarkApiGuard {
     val (welfare, adoptions): (Double, Double) = (est.welfare, est.adoptions)
     val items: Set[Int] = Allocation.seedsOfItem(Allocation.fromItemSeeds(Seq(sim._1, cim._2)), 0)
 
-    println((graphs, samplers, sigmaHat, adopted, perRun, welfare, adoptions, items))
+    println((graphs, probArcs, samplers, sigmaHat, adopted, perRun, welfare, adoptions, items))
   }
 }

@@ -19,10 +19,15 @@ import repro.graph.{GraphGen, SocialGraph}
   */
 class GoldenInputSpec extends AnyFunSuite {
 
+  /** The CSR arrays, with each arc's probability read through `fwdP` and
+    * `revP` in CSR order, whether the graph holds it per arc or per node.
+    */
   private def csr(g: SocialGraph): String = digest { d =>
+    val revP = new Array[Double](g.revSrc.length)
+    for (v <- 0 until g.n; e <- g.revOff(v) until g.revOff(v + 1)) revP(e) = g.revP(e, v)
     d.add(g.n.toLong); d.add(if (g.undirected) 1L else 0L)
-    d.ints(g.fwdOff); d.ints(g.fwdDst); d.doubles(g.fwdProb)
-    d.ints(g.revOff); d.ints(g.revSrc); d.doubles(g.revProb)
+    d.ints(g.fwdOff); d.ints(g.fwdDst); d.doubles(Array.tabulate(g.fwdDst.length)(g.fwdP))
+    d.ints(g.revOff); d.ints(g.revSrc); d.doubles(revP)
   }
 
   test("CSR arrays of the four Table 2 stand-ins") {

@@ -39,7 +39,7 @@ object ComicReference {
         var e = g.fwdOff(u)
         while (e < g.fwdOff(u + 1)) {
           val v = g.fwdDst(e)
-          if (!informed(v) && ComicBaselines.edgeLive(g, w, u, v, g.fwdProb(e))) {
+          if (!informed(v) && ComicBaselines.edgeLive(g, w, u, v, g.fwdP(e))) {
             informed(v) = true
             if (adopts(v)) { adopted(v) = true; next += v }
           }
@@ -69,7 +69,7 @@ object ComicReference {
     val n = g.n
     val thrA = Array.fill(n)(rng.nextDouble())
     val thrB = Array.fill(n)(rng.nextDouble())
-    val coins = new Traversal.EdgeCoins(g, (e, _) => rng.nextDouble() < g.fwdProb(e))
+    val coins = new Traversal.EdgeCoins(g, (e, _) => rng.nextDouble() < g.fwdP(e))
 
     val infA = new Array[Boolean](n); val infB = new Array[Boolean](n)
     val adA = new Array[Boolean](n); val adB = new Array[Boolean](n)

@@ -10,7 +10,7 @@ object HashedWorld {
 
   /** Is the edge `src -> dst` live in the edge world `worldSeed`? */
   def edgeLive(g: SocialGraph, worldSeed: Long)(edgeIdx: Int, src: Int): Boolean =
-    hash01(worldSeed, src.toLong, g.fwdDst(edgeIdx).toLong) < g.fwdProb(edgeIdx)
+    hash01(worldSeed, src.toLong, g.fwdDst(edgeIdx).toLong) < g.fwdP(edgeIdx)
 
   /** `EpicSimulator`'s diffusion in the edge world `worldSeed`. */
   def diffuseFixedWorld(g: SocialGraph, alloc: Map[Int, Int], util: Array[Double],

@@ -1,6 +1,14 @@
 package repro.graph
 
+import java.util.SplittableRandom
+
 import org.scalatest.funsuite.AnyFunSuite
+
+import repro.Golden
+import repro.comic.ComicBaselines.{RRCimSampler, RRSimSampler}
+import repro.core.Configs
+import repro.epic.EpicSimulator
+import repro.im.{ICRRSampler, RRSampler, RRSets}
 
 class SocialGraphSpec extends AnyFunSuite {
 
@@ -24,17 +32,59 @@ class SocialGraphSpec extends AnyFunSuite {
   test("weighted cascade: p(u,v) = 1/indeg(v)") {
     for (u <- 0 until g.n; e <- g.fwdOff(u) until g.fwdOff(u + 1)) {
       val v = g.fwdDst(e)
-      assert(math.abs(g.fwdProb(e) - 1.0 / g.inDeg(v)) < 1e-12)
+      assert(g.fwdP(e) == 1.0 / g.inDeg(v))
     }
     for (v <- 0 until g.n; e <- g.revOff(v) until g.revOff(v + 1)) {
-      assert(math.abs(g.revProb(e) - 1.0 / g.inDeg(v)) < 1e-12)
+      assert(g.revP(e, v) == 1.0 / g.inDeg(v))
     }
+    assert(g.fwdProb.isEmpty && g.revProb.isEmpty && g.wcProb.length == g.n)
   }
 
   test("explicit probabilities are preserved") {
     val g2 = SocialGraph.fromEdgesWithProb("p", 3, Array((0, 1, 0.25), (1, 2, 0.75)))
     assert(g2.fwdProb.toSeq.sorted == Seq(0.25, 0.75))
     assert(g2.revProb.toSeq.sorted == Seq(0.25, 0.75))
+    assert(g2.wcProb.isEmpty)
+    assert(Seq(g2.fwdP(0), g2.fwdP(1)) == Seq(0.25, 0.75))
+    assert(Seq(g2.revP(0, 1), g2.revP(1, 2)) == Seq(0.25, 0.75))
+  }
+
+  test("explicit probabilities outside [0, 1] or NaN rejected") {
+    for (p <- Seq(1.5, -0.1, Double.NaN))
+      intercept[IllegalArgumentException](SocialGraph.fromEdgesWithProb("x", 2, Array((0, 1, 1.0), (1, 0, p))))
+    assert(SocialGraph.fromEdgesWithProb("x", 2, Array((0, 1, 0.0), (1, 0, 1.0))).m == 2)
+  }
+
+  test("weighted cascade per node and the same 1/indeg per arc draw identical samples") {
+    val gens = Seq(GraphGen.powerLawDirected("wc-d", 1500, 12000, seed = 8),
+      GraphGen.powerLawUndirected("wc-u", 1200, 5000, seed = 9))
+    for (gen <- gens) {
+      val src = Array.tabulate(gen.n)(u => Array.fill(gen.outDeg(u))(u)).flatten
+      val dst = gen.fwdDst
+      val wc = SocialGraph.fromArcs(gen.name, gen.n, src, dst, None, gen.undirected)
+      val ex = SocialGraph.fromArcs(gen.name, gen.n, src, dst, Some(dst.map(v => 1.0 / gen.inDeg(v))), gen.undirected)
+      assert(wc.fwdProb.isEmpty && ex.fwdProb.length == dst.length)
+
+      val hubs = Golden.hubs(gen, 10)
+      val gap = Configs.config1.gap
+      def samples(s: RRSampler): Seq[Seq[Int]] =
+        (0 until 400).map(i => s.sample(new SplittableRandom(RRSets.mix(31, i.toLong))).toSeq)
+      for (sampler <- Seq[SocialGraph => RRSampler](new ICRRSampler(_), new RRSimSampler(_, hubs, gap),
+        new RRCimSampler(_, hubs, gap))) {
+        val drawn = samples(sampler(wc))
+        assert(drawn == samples(sampler(ex)))
+        assert(drawn.exists(_.length > 1), gen.name)
+      }
+
+      val alloc = hubs.zipWithIndex.map { case (v, i) => v -> (1 + i % 3) }.toMap
+      def worlds(h: SocialGraph): Seq[Seq[Int]] = (0 until 40).map { i =>
+        val rng = new SplittableRandom(RRSets.mix(37, i.toLong))
+        EpicSimulator.diffuse(h, alloc, Configs.config1.model.sampleUtilityTable(rng), rng).toSeq
+      }
+      val adoptions = worlds(wc)
+      assert(adoptions == worlds(ex))
+      assert(adoptions.exists(_.count(_ != 0) > hubs.length), gen.name)
+    }
   }
 
   test("out-of-range edges rejected") {

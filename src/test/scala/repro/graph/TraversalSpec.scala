@@ -22,7 +22,7 @@ class TraversalSpec extends AnyFunSuite {
   /** RR set `i` of `g`: the IC reverse reach drawn from sample id `i`. */
   private def draw(g: SocialGraph, i: Int): Seq[Int] = {
     val rng = new SplittableRandom(RRSets.mix(19, i.toLong))
-    Traversal.reverseReach(g, rng.nextInt(g.n))((e, _) => rng.nextDouble() < g.revProb(e)).toSeq
+    Traversal.reverseReach(g, rng.nextInt(g.n))((e, w) => rng.nextDouble() < g.revP(e, w)).toSeq
   }
 
   /** Live edges of query `i`: a quarter of all edges, fixed per query. */
@@ -42,7 +42,7 @@ class TraversalSpec extends AnyFunSuite {
     val seeds = Array.fill(3)(rng.nextInt(g.n)).distinct
     seeds.foreach(active(_) = true)
     val settled = Array.newBuilder[Int]
-    Traversal.sweep(g, seeds)((_, e) => rng.nextDouble() < g.fwdProb(e)) { v =>
+    Traversal.sweep(g, seeds)((_, e) => rng.nextDouble() < g.fwdP(e)) { v =>
       settled += v
       !active(v) && { active(v) = true; true }
     }
@@ -139,9 +139,9 @@ class TraversalSpec extends AnyFunSuite {
       val rng = new SplittableRandom(RRSets.mix(19, i.toLong))
       var j = 0
       val answers = Array.newBuilder[Boolean]
-      val walk = Traversal.reverseReach(big, rng.nextInt(big.n)) { (e, _) =>
+      val walk = Traversal.reverseReach(big, rng.nextInt(big.n)) { (e, w) =>
         if (j < 5) { answers += query(big, 5 * i + j); j += 1 }
-        rng.nextDouble() < big.revProb(e)
+        rng.nextDouble() < big.revP(e, w)
       }
       walk.toSeq -> answers.result().toSeq
     })

@@ -125,7 +125,7 @@ class PRIMMSpec extends AnyFunSuite with SparkSpec {
         var e = g.fwdOff(u)
         while (e < g.fwdOff(u + 1)) {
           val v = g.fwdDst(e)
-          if (!seen.contains(v) && rng.nextDouble() < g.fwdProb(e)) { seen += v; stack.push(v) }
+          if (!seen.contains(v) && rng.nextDouble() < g.fwdP(e)) { seen += v; stack.push(v) }
           e += 1
         }
       }
