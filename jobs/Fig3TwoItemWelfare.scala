@@ -23,8 +23,7 @@ object Fig3TwoItemWelfare {
     val spark = JobSession.create("Fig3TwoItemWelfare")
     val network = args.headOption.getOrElse("Douban-Movie")
     val configNos = if (args.length > 1) args.tail.map(_.toInt).toSeq else Seq(2, 3, 5, 6)
-    val g = Experiments.network(network)
-    configNos.foreach(no => run(spark, g, no)().show())
+    run(spark, Experiments.network(network), configNos).foreach(_.show())
     spark.stop()
   }
 
@@ -35,26 +34,28 @@ object Fig3TwoItemWelfare {
     if (uniform) Seq(10, 20, 30, 40, 50).map(Configs.uniformTwoItem)
     else Seq(30, 50, 70, 90, 110).map(Configs.nonUniformTwoItem)
 
-  /** Welfare per budget pair of `grid` under configuration `no`. Gates:
-    * greedyWM within 0.9 of the best baseline at every budget pair; under
-    * configuration 2 at 70/70, item-disj below half of greedyWM.
+  /** Per configuration of `nos`, welfare per budget pair of `grid` for its
+    * budget regime. Gates: greedyWM within 0.9 of the best baseline at every
+    * budget pair; under configuration 2 at 70/70, item-disj below half of
+    * greedyWM.
     */
-  def run(spark: SparkSession, g: SocialGraph, no: Int)(
-      grid: Seq[Array[Int]] = budgetGrid(Configs.table3(no - 1).uniformBudgets),
-      runs: Int = mcRuns): Table = {
-    val cfg = Configs.table3(no - 1)
-    val cells = grid.map { budgets =>
-      budgets.mkString("/") ->
-        twoItemAlgos.map(a => a -> Experiments.run(a, spark, g, cfg, budgets, runs).welfare).toMap
+  def run(spark: SparkSession, g: SocialGraph, nos: Seq[Int],
+          grid: Boolean => Seq[Array[Int]] = budgetGrid, runs: Int = mcRuns): Seq[Table] = {
+    require(nos.forall(no => no >= 1 && no <= 6), s"Fig 3 covers configurations 1-6, got ${nos.mkString(",")}")
+    val cfgs = nos.map(no => Configs.table3(no - 1))
+    val tables = welfareTables(spark, g, twoItemAlgos, runs)(
+      cfgs.map(cfg => grid(cfg.uniformBudgets).map(b => (b.mkString("/"), cfg, b))))
+    cfgs.zip(tables).map { case (cfg, rows) =>
+      val cells = rows.map { case (cell, w) => cell -> twoItemAlgos.zip(w).toMap }
+      val failed = unmet(cells.map { case (cell, w) =>
+        val best = twoItemAlgos.tail.map(w).max
+        (w(AlgoGreedyWM) >= 0.9 * best) -> s"budgets $cell: greedyWM ${w(AlgoGreedyWM)} far below best baseline $best"
+      } ++ cells.collect { case ("70/70", w) if cfg.no == 2 =>
+        (w(AlgoItemDisj) < 0.5 * w(AlgoGreedyWM)) -> s"70/70: item-disj ${w(AlgoItemDisj)} vs greedyWM ${w(AlgoGreedyWM)}"
+      })
+      Table(s"Fig 3: E[welfare] on ${g.name}, ${cfg.name} (runs=$runs)",
+        Seq("budgets b1/b2") ++ twoItemAlgos,
+        rows.map { case (cell, w) => Seq[Any](cell) ++ w }, failed)
     }
-    val failed = unmet(cells.map { case (cell, w) =>
-      val best = twoItemAlgos.tail.map(w).max
-      (w(AlgoGreedyWM) >= 0.9 * best) -> s"budgets $cell: greedyWM ${w(AlgoGreedyWM)} far below best baseline $best"
-    } ++ cells.collect { case ("70/70", w) if no == 2 =>
-      (w(AlgoItemDisj) < 0.5 * w(AlgoGreedyWM)) -> s"70/70: item-disj ${w(AlgoItemDisj)} vs greedyWM ${w(AlgoGreedyWM)}"
-    })
-    Table(s"Fig 3: E[welfare] on ${g.name}, ${cfg.name} (runs=$runs)",
-      Seq("budgets b1/b2") ++ twoItemAlgos,
-      cells.map { case (cell, w) => Seq[Any](cell) ++ twoItemAlgos.map(w) }, failed)
   }
 }

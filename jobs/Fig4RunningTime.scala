@@ -37,13 +37,13 @@ object Fig4RunningTime {
     val cfg = Configs.config1
     val budgets = Configs.uniformTwoItem(budget)
     // JIT warm-up so the first measured cell is not dominated by classloading
-    Experiments.run(AlgoGreedyWM, spark, graphs.head, cfg, budgets, runs = 1)
+    Experiments.allocate(AlgoGreedyWM, spark, graphs.head, cfg, budgets)
     val cells = graphs.map { g =>
       g.name -> twoItemAlgos.map {
         case a @ (AlgoRRSimPlus | AlgoRRCim) if g.name == "Twitter" =>
           a -> None // paper: timed out after 6 hours
         case a =>
-          a -> Some(Experiments.run(a, spark, g, cfg, budgets, runs = 1).millis)
+          a -> Some(timed(Experiments.allocate(a, spark, g, cfg, budgets))._2)
       }.toMap
     }
     val failed = unmet(cells.collect { case (name, t) if name != "Twitter" =>

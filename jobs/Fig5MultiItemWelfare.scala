@@ -22,30 +22,30 @@ object Fig5MultiItemWelfare {
     val spark = JobSession.create("Fig5MultiItemWelfare")
     val network = args.headOption.getOrElse("Douban-Movie")
     val k = if (args.length > 1) args(1).toInt else 10
-    val g = Experiments.network(network)
-    for (no <- Seq(7, 8, 9, 10)) run(spark, g, no, k).show()
+    run(spark, Experiments.network(network), Seq(7, 8, 9, 10), k).foreach(_.show())
     spark.stop()
   }
 
   /** The paper's total-budget sweep. */
   val totalGrid: Seq[Int] = Seq(500, 600, 700, 800, 900, 1000)
 
-  /** Welfare per total budget of `totals` under configuration `no` with `k`
+  /** Per configuration of `nos`, welfare per total budget of `totals` with `k`
     * items. Gate: greedyWM within 0.9 of the best algorithm at every total.
     */
-  def run(spark: SparkSession, g: SocialGraph, no: Int, k: Int = 10,
-          totals: Seq[Int] = totalGrid, runs: Int = mcRuns): Table = {
-    val cells = totals.map { total =>
+  def run(spark: SparkSession, g: SocialGraph, nos: Seq[Int], k: Int = 10,
+          totals: Seq[Int] = totalGrid, runs: Int = mcRuns): Seq[Table] = {
+    val tables = welfareTables(spark, g, multiItemAlgos, runs)(nos.map(no => totals.map { total =>
       val budgets = budgetsFor(no, k, total)
-      val cfg = configFor(no, k, budgets)
-      total -> multiItemAlgos.map(a => Experiments.run(a, spark, g, cfg, budgets, runs).welfare)
+      (total, configFor(no, k, budgets), budgets)
+    }))
+    nos.zip(tables).map { case (no, cells) =>
+      val failed = unmet(cells.map { case (total, w) =>
+        (w.head >= 0.9 * w.max) -> s"config $no total $total: greedyWM ${w.head} far below best ${w.max}"
+      })
+      Table(s"Fig 5: E[welfare] on ${g.name}, Configuration $no, $k items (runs=$runs)",
+        Seq("total budget") ++ multiItemAlgos,
+        cells.map { case (total, w) => Seq[Any](total) ++ w }, failed)
     }
-    val failed = unmet(cells.map { case (total, w) =>
-      (w.head >= 0.9 * w.max) -> s"config $no total $total: greedyWM ${w.head} far below best ${w.max}"
-    })
-    Table(s"Fig 5: E[welfare] on ${g.name}, Configuration $no, $k items (runs=$runs)",
-      Seq("total budget") ++ multiItemAlgos,
-      cells.map { case (total, w) => Seq[Any](total) ++ w }, failed)
   }
 
   /** Configs 7/10: uniform split; configs 8/9: 20% max / 2% min split. */

@@ -32,9 +32,9 @@ object Fig6ItemsRuntime {
     */
   def run(spark: SparkSession, g: SocialGraph, k: Int = 50, items: Seq[Int] = 1 to 10): Table = {
     // JIT warm-up so the first measured cell is not dominated by classloading
-    Experiments.run(AlgoGreedyWM, spark, g, Configs.config7(1), Array(k), runs = 1)
+    Experiments.allocate(AlgoGreedyWM, spark, g, Configs.config7(1), Array(k))
     val cells = items.map { s =>
-      s -> multiItemAlgos.map(a => a -> Experiments.run(a, spark, g, Configs.config7(s), Array.fill(s)(k), runs = 1).millis).toMap
+      s -> multiItemAlgos.map(a => a -> timed(Experiments.allocate(a, spark, g, Configs.config7(s), Array.fill(s)(k)))._2).toMap
     }
     val (first, last) = (cells.head._2, cells.last._2)
     val (g1, gs) = (first(AlgoGreedyWM), last(AlgoGreedyWM))

@@ -32,23 +32,23 @@ object Fig7RealParams {
           runs: Int = mcRuns): Table = {
     val cfg = Configs.realPs4
     // JIT warm-up so the first measured cell is not dominated by classloading
-    Experiments.run(AlgoGreedyWM, spark, g, cfg, Configs.realSplit(100), runs = 1)
-    val cells = totals.map { total =>
-      val budgets = Configs.realSplit(total)
-      (total, Experiments.run(AlgoGreedyWM, spark, g, cfg, budgets, runs),
-        Experiments.run(AlgoBundleDisj, spark, g, cfg, budgets, runs))
+    Experiments.allocate(AlgoGreedyWM, spark, g, cfg, Configs.realSplit(100))
+    val algos = Seq(AlgoGreedyWM, AlgoBundleDisj)
+    val results = Experiments.welfare(spark, g,
+      for (t <- totals; a <- algos) yield (a, cfg, Configs.realSplit(t)), runs)
+    val cells = totals.zip(results.grouped(algos.length)).map {
+      case (t, Seq((gw, gwMs), (bd, bdMs))) => (t, gw.welfare, bd.welfare, gwMs, bdMs)
     }
-    val (_, gwMax, bdMax) = cells.last
-    val itemDisj = Experiments.run(AlgoItemDisj, spark, g, cfg, Configs.realSplit(200), runs = 8).welfare
-    val failed = unmet(cells.map { case (t, gw, bd) =>
-      (gw.welfare >= bd.welfare * 0.95) -> s"total $t: greedyWM ${gw.welfare} below bundle-disj ${bd.welfare}"
+    val (_, gwMax, bdMax, _, _) = cells.last
+    val itemDisj = Experiments.welfare(spark, g, Seq((AlgoItemDisj, cfg, Configs.realSplit(200))), runs = 8).head._1.welfare
+    val failed = unmet(cells.map { case (t, gw, bd, _, _) =>
+      (gw >= bd * 0.95) -> s"total $t: greedyWM $gw below bundle-disj $bd"
     } ++ Seq(
-      (gwMax.welfare > bdMax.welfare) ->
-        s"at total ${totals.last} greedyWM ${gwMax.welfare} should beat bundle-disj ${bdMax.welfare}",
+      (gwMax > bdMax) -> s"at total ${totals.last} greedyWM $gwMax should beat bundle-disj $bdMax",
       (itemDisj == 0.0) -> s"item-disj welfare $itemDisj at total 200",
     ))
     Table(s"Fig 7(a,b): PS4 bundle on ${g.name} (runs=$runs)",
       Seq("total budget", "greedyWM welfare", "bundle-disj welfare", "greedyWM ms", "bundle-disj ms"),
-      cells.map { case (t, gw, bd) => Seq[Any](t, gw.welfare, bd.welfare, gw.millis, bd.millis) }, failed)
+      cells.map { case (t, gw, bd, gwMs, bdMs) => Seq[Any](t, gw, bd, gwMs, bdMs) }, failed)
   }
 }

@@ -33,17 +33,16 @@ object Fig8Skew {
           splits: Seq[(String, Array[Int])] = Configs.skewDistributions, runs: Int = mcRuns): Table = {
     val cfg = Configs.config7(10)
     // JIT warm-up so the first measured cell is not dominated by classloading
-    Experiments.run(AlgoGreedyWM, spark, g, cfg, Array.fill(10)(10), runs = 1)
-    val cells = splits.map { case (name, budgets) =>
-      (name, budgets, Experiments.run(AlgoGreedyWM, spark, g, cfg, budgets, runs))
-    }
-    val (first, last) = (cells.head._3, cells.last._3)
-    val failed = unmet(cells.zip(cells.tail).map { case ((a, _, ra), (b, _, rb)) =>
-      (ra.welfare >= rb.welfare * 0.98) -> s"$a ${ra.welfare} should be >= $b ${rb.welfare}"
-    } :+ (last.millis >= first.millis / 2) ->
-      s"${cells.last._1} (${last.millis} ms) should not be faster than ~${cells.head._1} (${first.millis} ms)")
+    Experiments.allocate(AlgoGreedyWM, spark, g, cfg, Array.fill(10)(10))
+    val results = Experiments.welfare(spark, g, splits.map { case (_, b) => (AlgoGreedyWM, cfg, b) }, runs)
+    val cells = splits.zip(results).map { case ((name, budgets), (est, millis)) => (name, budgets, est.welfare, millis) }
+    val ((firstName, _, _, firstMs), (lastName, _, _, lastMs)) = (cells.head, cells.last)
+    val failed = unmet(cells.zip(cells.tail).map { case ((a, _, wa, _), (b, _, wb, _)) =>
+      (wa >= wb * 0.98) -> s"$a $wa should be >= $b $wb"
+    } :+ (lastMs >= firstMs / 2) ->
+      s"$lastName ($lastMs ms) should not be faster than ~$firstName ($firstMs ms)")
     Table(s"Fig 8(c): greedyWM under budget skew on ${g.name} (runs=$runs)",
       Seq("distribution", "budgets", "E[welfare]", "time"),
-      cells.map { case (n, b, r) => Seq[Any](n, b.mkString(","), r.welfare, s"${r.millis} ms") }, failed)
+      cells.map { case (n, b, w, ms) => Seq[Any](n, b.mkString(","), w, s"$ms ms") }, failed)
   }
 }

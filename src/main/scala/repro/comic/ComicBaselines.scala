@@ -114,10 +114,10 @@ object ComicBaselines {
     * given B. Returns (seedsA, seedsB).
     */
   def rrSimPlus(spark: SparkSession, g: SocialGraph, budgetA: Int, budgetB: Int,
-                gap: Gap, eps: Double = 0.5, seed: Long = 7, maxRR: Int): (Array[Int], Array[Int]) = {
-    val seedsB = PRIMM.imm(spark, g, budgetB, eps, seed = seed).seeds
+                gap: Gap, seed: Long = 7, maxRR: Int): (Array[Int], Array[Int]) = {
+    val seedsB = PRIMM.imm(spark, g, budgetB, seed = seed).seeds
     val sampler = new RRSimSampler(g, seedsB, gap)
-    val seedsA = PRIMM.imm(spark, g, budgetA, eps, seed = seed + 1, sampler = Some(sampler), maxRR = maxRR).seeds
+    val seedsA = PRIMM.imm(spark, g, budgetA, seed = seed + 1, sampler = Some(sampler), maxRR = maxRR).seeds
     (seedsA, seedsB)
   }
 
@@ -125,10 +125,10 @@ object ComicBaselines {
     * Returns (seedsA, seedsB).
     */
   def rrCim(spark: SparkSession, g: SocialGraph, budgetA: Int, budgetB: Int,
-            gap: Gap, eps: Double = 0.5, seed: Long = 7, maxRR: Int): (Array[Int], Array[Int]) = {
-    val seedsA = PRIMM.imm(spark, g, budgetA, eps, seed = seed).seeds
+            gap: Gap, seed: Long = 7, maxRR: Int): (Array[Int], Array[Int]) = {
+    val seedsA = PRIMM.imm(spark, g, budgetA, seed = seed).seeds
     val sampler = new RRCimSampler(g, seedsA, gap)
-    val seedsB = PRIMM.imm(spark, g, budgetB, eps, seed = seed + 1, sampler = Some(sampler), maxRR = maxRR).seeds
+    val seedsB = PRIMM.imm(spark, g, budgetB, seed = seed + 1, sampler = Some(sampler), maxRR = maxRR).seeds
     (seedsA, seedsB)
   }
 }

@@ -14,10 +14,10 @@ object Baselines {
     * nodes of the ordering. Requires `sum(b_i) <= n`.
     */
   def itemDisj(spark: SparkSession, g: SocialGraph, budgets: Array[Int],
-               eps: Double = 0.5, seed: Long = 7): Allocation.Alloc = {
+               seed: Long = 7): Allocation.Alloc = {
     val total = budgets.sum
     require(total <= g.n, s"item-disj needs sum of budgets ($total) <= node count (${g.n})")
-    val order = PRIMM.imm(spark, g, total, eps, seed = seed).seeds
+    val order = PRIMM.imm(spark, g, total, seed = seed).seeds
     val perItem = Array.fill(budgets.length)(Array.empty[Int])
     var pos = 0
     for (i <- Blocks.itemOrder(budgets)) {
@@ -36,7 +36,7 @@ object Baselines {
     * fresh IMM seeds.
     */
   def bundleDisj(spark: SparkSession, g: SocialGraph, budgets: Array[Int],
-                 detUtil: Array[Double], eps: Double = 0.5, seed: Long = 7): Allocation.Alloc = {
+                 detUtil: Array[Double], seed: Long = 7): Allocation.Alloc = {
     val k = budgets.length
     val remaining = budgets.clone()
     val perItem = Array.fill(k)(scala.collection.mutable.ArrayBuffer.empty[Int])
@@ -63,7 +63,7 @@ object Baselines {
         case Some(bundle) =>
           val items = Itemsets.items(bundle)
           val bB = items.map(remaining).min
-          val seeds = PRIMM.imm(spark, g, bB, eps, seed = seed + immCalls, forbidden = used).seeds
+          val seeds = PRIMM.imm(spark, g, bB, seed = seed + immCalls, forbidden = used).seeds
           immCalls += 1
           bundles :+= (bundle, seeds)
           used ++= seeds
@@ -81,7 +81,7 @@ object Baselines {
         remaining(i) -= take.length
       }
       if (remaining(i) > 0) {
-        val fresh = PRIMM.imm(spark, g, remaining(i), eps, seed = seed + immCalls, forbidden = used).seeds
+        val fresh = PRIMM.imm(spark, g, remaining(i), seed = seed + immCalls, forbidden = used).seeds
         immCalls += 1
         used ++= fresh
         perItem(i) ++= fresh

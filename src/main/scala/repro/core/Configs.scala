@@ -113,7 +113,7 @@ object Configs {
     * holding the max and item `k-1` the min.
     */
   def skewedSplit(k: Int, total: Int): Array[Int] = {
-    require(k >= 3)
+    require(k >= 3, s"a skewed split needs at least 3 items, got $k")
     val maxB = math.max(1, total * 20 / 100)
     val minB = math.max(1, total * 2 / 100)
     val rest = total - maxB - minB
@@ -125,16 +125,23 @@ object Configs {
     var leftover = total - budgets.sum
     var i = 1
     while (leftover > 0 && i < k - 1) { budgets(i) += 1; leftover -= 1; i += 1 }
-    budgets
+    exact(total, budgets)
   }
 
   /** Uniform split of `total` over `k` items, the first `total % k` one larger. */
   def uniformSplit(k: Int, total: Int): Array[Int] =
-    Array.tabulate(k)(i => total / k + (if (i < total % k) 1 else 0))
+    exact(total, Array.tabulate(k)(i => total / k + (if (i < total % k) 1 else 0)))
 
-  /** §6.4 real-data split: 30/30/20/10/10 percent of the total budget. */
+  /** §6.4 real-data split: 30/30/20/10/10 percent of `total`, a multiple of 10. */
   def realSplit(total: Int): Array[Int] =
-    Array(total * 30 / 100, total * 30 / 100, total * 20 / 100, total * 10 / 100, total * 10 / 100)
+    exact(total, Array(total * 30 / 100, total * 30 / 100, total * 20 / 100, total * 10 / 100, total * 10 / 100))
+
+  /** `budgets`, which must sum to `total` and each be at least 1. */
+  private def exact(total: Int, budgets: Array[Int]): Array[Int] = {
+    require(budgets.sum == total && budgets.forall(_ >= 1),
+      s"cannot split $total into ${budgets.length} budgets of at least 1: got ${budgets.mkString(",")}")
+    budgets
+  }
 
   /** §6.4/§B budget-skew distributions over 10 items, total 500. */
   def skewDistributions: Seq[(String, Array[Int])] = Seq(

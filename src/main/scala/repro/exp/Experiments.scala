@@ -31,47 +31,64 @@ object Experiments {
     */
   def comicMaxRR: Int = sys.env.getOrElse("REPRO_COMIC_MAX_RR", "120000").toInt
 
-  final case class AlgoRun(
-      network: String,
-      config: String,
-      algo: String,
-      budgets: Array[Int],
-      welfare: Double,
-      adoptions: Double,
-      millis: Long,
-  )
-
   /** Compute the allocation of `algo` for `cfg` and `budgets`. */
   def allocate(algo: String, spark: SparkSession, g: SocialGraph,
-               cfg: Configs.Config, budgets: Array[Int],
-               eps: Double = 0.5, seed: Long = 7): Allocation.Alloc =
+               cfg: Configs.Config, budgets: Array[Int], seed: Long = 7): Allocation.Alloc =
     algo match {
       case AlgoGreedyWM =>
-        GreedyWM.allocate(spark, g, budgets, eps, seed).alloc
+        GreedyWM.allocate(spark, g, budgets, seed = seed).alloc
       case AlgoItemDisj =>
-        Baselines.itemDisj(spark, g, budgets, eps, seed)
+        Baselines.itemDisj(spark, g, budgets, seed)
       case AlgoBundleDisj =>
-        Baselines.bundleDisj(spark, g, budgets, cfg.detUtil, eps, seed)
-      case AlgoRRSimPlus =>
-        require(budgets.length == 2, "RR-SIM+ supports exactly two items")
-        val (sA, sB) = ComicBaselines.rrSimPlus(spark, g, budgets(0), budgets(1), cfg.gap, eps, seed, comicMaxRR)
-        Allocation.fromItemSeeds(Seq(sA, sB))
-      case AlgoRRCim =>
-        require(budgets.length == 2, "RR-CIM supports exactly two items")
-        val (sA, sB) = ComicBaselines.rrCim(spark, g, budgets(0), budgets(1), cfg.gap, eps, seed, comicMaxRR)
+        Baselines.bundleDisj(spark, g, budgets, cfg.detUtil, seed)
+      case AlgoRRSimPlus | AlgoRRCim =>
+        require(budgets.length == 2, s"$algo supports exactly two items")
+        val comic = if (algo == AlgoRRSimPlus) ComicBaselines.rrSimPlus _ else ComicBaselines.rrCim _
+        val (sA, sB) = comic(spark, g, budgets(0), budgets(1), cfg.gap, seed, comicMaxRR)
         Allocation.fromItemSeeds(Seq(sA, sB))
       case other => sys.error(s"unknown algorithm $other")
     }
 
-  /** Allocate with `algo`, then estimate expected welfare under EPIC. */
-  def run(algo: String, spark: SparkSession, g: SocialGraph,
-          cfg: Configs.Config, budgets: Array[Int],
-          runs: Int = mcRuns, seed: Long = 7): AlgoRun = {
+  /** What [[allocate]] reads besides the graph and seed: the budgets for
+    * greedyWM and item-disj, plus `cfg.detUtil` for bundle-disj and
+    * `cfg.gap` for RR-SIM+ and RR-CIM. Equal keys, equal allocations.
+    */
+  def allocationKey(algo: String, cfg: Configs.Config, budgets: Array[Int]): (String, Seq[Int], Any) =
+    (algo, budgets.toSeq, algo match {
+      case AlgoGreedyWM | AlgoItemDisj => ()
+      case AlgoBundleDisj => cfg.detUtil.toSeq
+      case AlgoRRSimPlus | AlgoRRCim => cfg.gap
+      case other => sys.error(s"unknown algorithm $other")
+    })
+
+  /** `body`'s result and its wall time in ms. */
+  def timed[A](body: => A): (A, Long) = {
     val t0 = System.nanoTime()
-    val alloc = allocate(algo, spark, g, cfg, budgets, seed = seed)
-    val millis = (System.nanoTime() - t0) / 1000000
-    val est = Welfare.estimate(spark, g, alloc, cfg.model, runs, seed = seed * 31 + 1)
-    AlgoRun(g.name, cfg.name, algo, budgets, est.welfare, est.adoptions, millis)
+    (body, (System.nanoTime() - t0) / 1000000)
+  }
+
+  /** One figure's welfare step: each `(algo, cfg, budgets)` cell's welfare
+    * over `runs` worlds from seed 218, and the ms of the seed-7 allocation
+    * that served it, made once per distinct [[allocationKey]] in this call.
+    */
+  def welfare(spark: SparkSession, g: SocialGraph, cells: Seq[(String, Configs.Config, Array[Int])],
+              runs: Int): Seq[(Welfare.Estimate, Long)] = {
+    val allocs = scala.collection.mutable.Map.empty[(String, Seq[Int], Any), (Allocation.Alloc, Long)]
+    cells.map { case (algo, cfg, budgets) =>
+      val (alloc, millis) =
+        allocs.getOrElseUpdate(allocationKey(algo, cfg, budgets), timed(allocate(algo, spark, g, cfg, budgets)))
+      (Welfare.estimate(spark, g, alloc, cfg.model, runs, seed = 218), millis)
+    }
+  }
+
+  /** Each table's `(label, cfg, budgets)` rows as labels with their welfare
+    * per algorithm of `algos`, from one [[welfare]] step over all tables.
+    */
+  def welfareTables[L](spark: SparkSession, g: SocialGraph, algos: Seq[String], runs: Int)(
+      tables: Seq[Seq[(L, Configs.Config, Array[Int])]]): Seq[Seq[(L, Seq[Double])]] = {
+    val cells = for (rows <- tables; (_, cfg, budgets) <- rows; a <- algos) yield (a, cfg, budgets)
+    val w = welfare(spark, g, cells, runs).iterator.map(_._1.welfare)
+    tables.map(_.map { case (label, _, _) => label -> Seq.fill(algos.length)(w.next()) })
   }
 
   // -------------------------------------------------------------------

@@ -46,7 +46,7 @@ object PRIMM {
           sampler: Option[RRSampler] = None,
           forbidden: Set[Int] = Set.empty,
           maxRR: Int = Int.MaxValue): Result = {
-    require(budgets.nonEmpty && budgets.forall(_ >= 1))
+    require(budgets.nonEmpty && budgets.forall(_ >= 1), s"need budgets each at least 1, got ${budgets.mkString(",")}")
     require(budgets.zip(budgets.tail).forall { case (a, b) => a >= b },
       "budgets must be sorted non-increasingly")
     require(maxRR >= 1, s"maxRR must allow at least one RR set, got $maxRR")

@@ -98,7 +98,7 @@ class ComicBaselinesSpec extends AnyFunSuite with SparkSpec with PropHelpers {
   test("rrSimPlus respects budgets and returns distinct seeds") {
     val gap = Configs.config1.gap
     val (sA, sB) = ComicBaselines.rrSimPlus(spark, g, budgetA = 5, budgetB = 5, gap,
-      eps = 0.5, seed = 3, maxRR = 5000)
+      seed = 3, maxRR = 5000)
     assert(sA.length == 5 && sB.length == 5)
     assert(sA.distinct.length == 5 && sB.distinct.length == 5)
   }
@@ -106,7 +106,7 @@ class ComicBaselinesSpec extends AnyFunSuite with SparkSpec with PropHelpers {
   test("rrCim respects budgets and returns distinct seeds") {
     val gap = Configs.config1.gap
     val (sA, sB) = ComicBaselines.rrCim(spark, g, budgetA = 5, budgetB = 5, gap,
-      eps = 0.5, seed = 3, maxRR = 5000)
+      seed = 3, maxRR = 5000)
     assert(sA.length == 5 && sB.length == 5)
     assert(sB.distinct.length == 5)
   }
@@ -115,7 +115,7 @@ class ComicBaselinesSpec extends AnyFunSuite with SparkSpec with PropHelpers {
     val gap = Configs.config1.gap
     val imm = PRIMM.imm(spark, g, 20, eps = 0.5, seed = 5).seeds.toSet
     val (sA, _) = ComicBaselines.rrSimPlus(spark, g, budgetA = 10, budgetB = 10, gap,
-      eps = 0.5, seed = 5, maxRR = 20000)
+      seed = 5, maxRR = 20000)
     val overlap = sA.count(imm.contains)
     assert(overlap >= 5, s"only $overlap of 10 RR-SIM+ seeds among IMM top-20")
   }

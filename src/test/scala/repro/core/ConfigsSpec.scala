@@ -112,6 +112,15 @@ class ConfigsSpec extends AnyFunSuite {
     assert(Configs.skewedSplit(10, 500).sum == 500)
   }
 
+  test("budget splits reject totals they cannot split into whole budgets of at least 1") {
+    // realSplit(15) would drop the remainder (4/4/3/1/1 = 13); the others would hand out zero budgets.
+    for (total <- Seq(15, 25, 0, -10)) intercept[IllegalArgumentException](Configs.realSplit(total))
+    intercept[IllegalArgumentException](Configs.skewedSplit(10, 5))
+    intercept[IllegalArgumentException](Configs.uniformSplit(10, 5))
+    assert(Configs.realSplit(10).toSeq == Seq(3, 3, 2, 1, 1))
+    assert(Configs.uniformSplit(10, 10).toSeq == Seq.fill(10)(1))
+  }
+
   test("skewedSplit puts 20% at item 0 and 2% at the last item") {
     val b = Configs.skewedSplit(10, 500)
     assert(b(0) == 100 && b(9) == 10)

@@ -4,6 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 
 import repro.SparkSpec
 import repro.core.Configs
+import repro.epic.Welfare
 import repro.graph.{GraphGen, SocialGraph}
 import repro.jobs.{Fig3TwoItemWelfare, Fig5MultiItemWelfare}
 
@@ -11,14 +12,19 @@ class ExperimentsSpec extends AnyFunSuite with SparkSpec {
 
   private lazy val g = GraphGen.powerLawDirected("t", 250, 1800, seed = 51)
 
+  /** Welfare of `algo`'s seed-`s` allocation over `runs` worlds from seed `s * 31 + 1`. */
+  private def welfareOf(algo: String, cfg: Configs.Config, budgets: Array[Int], runs: Int, s: Long): Double =
+    Welfare.estimate(spark, g, Experiments.allocate(algo, spark, g, cfg, budgets, seed = s),
+      cfg.model, runs, seed = s * 31 + 1).welfare
+
   test("every two-item algorithm produces a runnable allocation and welfare") {
     val cfg = Configs.config1
     val budgets = Array(4, 4)
     for (algo <- Experiments.twoItemAlgos) {
-      val r = Experiments.run(algo, spark, g, cfg, budgets, runs = 4, seed = 2)
-      assert(r.algo == algo && r.network == "t")
-      assert(r.welfare >= -1e-9, s"$algo produced negative welfare ${r.welfare}")
-      assert(r.millis >= 0)
+      val (alloc, millis) = Experiments.timed(Experiments.allocate(algo, spark, g, cfg, budgets, seed = 2))
+      val welfare = Welfare.estimate(spark, g, alloc, cfg.model, 4, seed = 2 * 31 + 1).welfare
+      assert(welfare >= -1e-9, s"$algo produced negative welfare $welfare")
+      assert(millis >= 0)
     }
   }
 
@@ -26,18 +32,17 @@ class ExperimentsSpec extends AnyFunSuite with SparkSpec {
     val cfg = Configs.config7(3)
     val budgets = Array(4, 3, 2)
     for (algo <- Experiments.multiItemAlgos) {
-      val r = Experiments.run(algo, spark, g, cfg, budgets, runs = 4, seed = 3)
-      assert(r.welfare > 0, s"$algo welfare should be positive under Config 7")
+      val welfare = welfareOf(algo, cfg, budgets, runs = 4, s = 3)
+      assert(welfare > 0, s"$algo welfare should be positive under Config 7")
     }
   }
 
   test("greedyWM beats or matches item-disj under strong complementarity (Config 1)") {
     val cfg = Configs.config1
     val budgets = Array(6, 6)
-    val gw = Experiments.run(Experiments.AlgoGreedyWM, spark, g, cfg, budgets, runs = 16, seed = 4)
-    val id = Experiments.run(Experiments.AlgoItemDisj, spark, g, cfg, budgets, runs = 16, seed = 4)
-    assert(gw.welfare >= id.welfare - 1e-9,
-      s"greedyWM ${gw.welfare} < item-disj ${id.welfare}")
+    val gw = welfareOf(Experiments.AlgoGreedyWM, cfg, budgets, runs = 16, s = 4)
+    val id = welfareOf(Experiments.AlgoItemDisj, cfg, budgets, runs = 16, s = 4)
+    assert(gw >= id - 1e-9, s"greedyWM $gw < item-disj $id")
   }
 
   test("item-disj welfare is far below greedyWM when items are individually negative (Config 1)") {
@@ -47,10 +52,38 @@ class ExperimentsSpec extends AnyFunSuite with SparkSpec {
     // it as ~0 next to greedyWM (Fig 3a).
     val cfg = Configs.config1
     val budgets = Array(6, 6)
-    val id = Experiments.run(Experiments.AlgoItemDisj, spark, g, cfg, budgets, runs = 24, seed = 5)
-    val gw = Experiments.run(Experiments.AlgoGreedyWM, spark, g, cfg, budgets, runs = 24, seed = 5)
-    assert(id.welfare < 0.6 * gw.welfare,
-      s"item-disj ${id.welfare} not far below greedyWM ${gw.welfare}")
+    val id = welfareOf(Experiments.AlgoItemDisj, cfg, budgets, runs = 24, s = 5)
+    val gw = welfareOf(Experiments.AlgoGreedyWM, cfg, budgets, runs = 24, s = 5)
+    assert(id < 0.6 * gw, s"item-disj $id not far below greedyWM $gw")
+  }
+
+  // Configs 1/3/5 share a budget regime, as do 7/10.
+  private val twoItemConfigs = Seq(Configs.config1, Configs.config3, Configs.config5)
+  private val multiItemConfigs = Seq(Configs.config7(3), Configs.config10(3))
+  private val (twoItemBudgets, multiItemBudgets) = (Array(4, 4), Configs.uniformSplit(3, 10))
+
+  test("the welfare step equals per-cell allocation plus a seed-218 estimate") {
+    val cells =
+      (for (cfg <- twoItemConfigs; a <- Experiments.twoItemAlgos) yield (a, cfg, twoItemBudgets)) ++
+        (for (cfg <- multiItemConfigs; a <- Experiments.multiItemAlgos) yield (a, cfg, multiItemBudgets))
+    val perCell = cells.map { case (a, cfg, b) =>
+      Welfare.estimate(spark, g, Experiments.allocate(a, spark, g, cfg, b), cfg.model, 4, seed = 218).welfare
+    }
+    assert(Experiments.welfare(spark, g, cells, runs = 4).map(_._1.welfare) == perCell)
+  }
+
+  test("greedyWM and item-disj share one allocation across configurations, the other algorithms one per configuration") {
+    def allocations(algo: String, cfgs: Seq[Configs.Config], budgets: Array[Int]): Int =
+      cfgs.map(Experiments.allocationKey(algo, _, budgets)).distinct.size
+    for (a <- Seq(Experiments.AlgoGreedyWM, Experiments.AlgoItemDisj)) {
+      assert(allocations(a, twoItemConfigs, twoItemBudgets) == 1)
+      assert(allocations(a, multiItemConfigs, multiItemBudgets) == 1)
+    }
+    for (a <- Seq(Experiments.AlgoBundleDisj, Experiments.AlgoRRSimPlus, Experiments.AlgoRRCim))
+      assert(allocations(a, twoItemConfigs, twoItemBudgets) == twoItemConfigs.length)
+    assert(allocations(Experiments.AlgoBundleDisj, multiItemConfigs, multiItemBudgets) == multiItemConfigs.length)
+    assert(Experiments.allocationKey(Experiments.AlgoGreedyWM, Configs.config1, Array(4, 4)) !=
+      Experiments.allocationKey(Experiments.AlgoGreedyWM, Configs.config1, Array(4, 5)))
   }
 
   test("Com-IC algorithms refuse more than two items") {

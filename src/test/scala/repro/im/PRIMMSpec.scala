@@ -19,6 +19,12 @@ class PRIMMSpec extends AnyFunSuite with SparkSpec {
     intercept[IllegalArgumentException](PRIMM.run(spark, g, Seq(1, 3)))
   }
 
+  test("budgets below 1 are rejected with a message") {
+    val g = GraphGen.uniformDirected("t", 20, 60, seed = 1)
+    val e = intercept[IllegalArgumentException](PRIMM.run(spark, g, Seq(3, 0)))
+    assert(e.getMessage.contains("each at least 1, got 3,0"))
+  }
+
   test("a one-node graph is rejected") {
     // ln n = 0 makes PRIMM's sample-size bounds NaN
     val g = SocialGraph.fromEdges("one", 1, Array.empty[(Int, Int)])

@@ -34,8 +34,13 @@ class TableDefinitionsSpec extends AnyFunSuite with SparkSpec {
   }
 
   test("Fig 3 has one column per two-item algorithm") {
-    assertShape(Fig3TwoItemWelfare.run(spark, g, 2)(grid = Seq(Array(4, 4)), runs = 2),
-      "budgets b1/b2" +: twoItemAlgos, 1)
+    val tables = Fig3TwoItemWelfare.run(spark, g, Seq(1, 2), grid = _ => Seq(Array(4, 4)), runs = 2)
+    assert(tables.zip(Seq(1, 2)).forall { case (t, no) => t.title.contains(s"Configuration $no (") })
+    tables.foreach(assertShape(_, "budgets b1/b2" +: twoItemAlgos, 1))
+  }
+
+  test("Fig 3 rejects configuration numbers outside 1-6") {
+    for (no <- Seq(0, 7)) intercept[IllegalArgumentException](Fig3TwoItemWelfare.run(spark, g, Seq(no)))
   }
 
   test("Fig 4 has one row per graph") {
@@ -43,8 +48,9 @@ class TableDefinitionsSpec extends AnyFunSuite with SparkSpec {
   }
 
   test("Fig 5 has one column per multi-item algorithm") {
-    assertShape(Fig5MultiItemWelfare.run(spark, g, 8, totals = Seq(100), runs = 2),
-      "total budget" +: multiItemAlgos, 1)
+    val tables = Fig5MultiItemWelfare.run(spark, g, Seq(8, 9), totals = Seq(100), runs = 2)
+    assert(tables.zip(Seq(8, 9)).forall { case (t, no) => t.title.contains(s"Configuration $no,") })
+    tables.foreach(assertShape(_, "total budget" +: multiItemAlgos, 1))
   }
 
   test("Fig 6 has one row per item count") {
