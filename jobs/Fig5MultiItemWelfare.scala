@@ -48,13 +48,15 @@ object Fig5MultiItemWelfare {
     }
   }
 
-  /** Configs 7/10: uniform split; configs 8/9: 20% max / 2% min split. */
+  /** Configs 7/10: uniform split; configs 8/9: [[Configs.skewedSplit]],
+    * which holds the max at item 0 and the min at item k-1 or fails.
+    */
   def budgetsFor(no: Int, k: Int, total: Int): Array[Int] =
     if (no == 7 || no == 10) Configs.uniformSplit(k, total)
     else Configs.skewedSplit(k, total)
 
-  /** Config 8 cores the max-budget item (index 0 of the skewed split),
-    * config 9 the min-budget item (index k-1).
+  /** Config 8 cores the max-budget item, config 9 the min-budget item: on
+    * [[budgetsFor]]'s skewed split, index 0 and index k-1.
     */
   def configFor(no: Int, k: Int, budgets: Array[Int]): Configs.Config = no match {
     case 7 => Configs.config7(k)

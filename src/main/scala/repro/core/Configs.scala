@@ -108,9 +108,11 @@ object Configs {
   /** Non-uniform two-item budgets: `b1 = 70` fixed, `b2` varies. */
   def nonUniformTwoItem(b2: Int): Array[Int] = Array(70, b2)
 
-  /** Fig-5 style multi-item split: max budget 20% of the total, min 2%,
-    * the rest uniform. Returns budgets indexed by item, with item 0
-    * holding the max and item `k-1` the min.
+  /** Fig-5 style multi-item split: max budget 20% of the total, min 2%
+    * (each at least 1), the rest uniform. Returns budgets indexed by item,
+    * with item 0 holding the max and item `k-1` the min; fails when the
+    * uniform middle would outgrow the 20% item or undercut the 2% one (at
+    * the usual totals, `k <= 5`).
     */
   def skewedSplit(k: Int, total: Int): Array[Int] = {
     require(k >= 3, s"a skewed split needs at least 3 items, got $k")
@@ -125,6 +127,9 @@ object Configs {
     var leftover = total - budgets.sum
     var i = 1
     while (leftover > 0 && i < k - 1) { budgets(i) += 1; leftover -= 1; i += 1 }
+    require(budgets.forall(b => b <= maxB && b >= minB),
+      s"a skewed split of $total over $k items cannot hold the max at item 0 and the min at item ${k - 1}: " +
+      s"got ${budgets.mkString(",")}")
     exact(total, budgets)
   }
 

@@ -1,5 +1,7 @@
 package repro.epic
 
+import java.util.SplittableRandom
+
 import org.apache.spark.sql.SparkSession
 
 import repro.exec.SeededBatch
@@ -12,8 +14,8 @@ import repro.items.UtilityModel
   * Each run is an independent possible world: run `r` samples a noise
   * world (utility table) and an edge world from `mix(seed, r)` and plays
   * the deterministic EPIC diffusion. Runs are embarrassingly parallel:
-  * they are one [[SeededBatch]] over the broadcast graph, allocation and
-  * utility model.
+  * they are one [[SeededBatch]] over the graph, allocation and utility
+  * model.
   */
 object Welfare {
 
@@ -41,12 +43,17 @@ object Welfare {
       require(v >= 0 && v < g.n, s"allocated node $v is not in [0, ${g.n})")
       require((mask & ~items) == 0, s"node $v is allocated mask $mask, which names an item beyond the model's ${model.k}")
     }
-    // The pattern shadows the outer values, so the task closure cannot capture them.
-    val rows = SeededBatch.run(spark, (g, alloc, model), seed) { case ((g, alloc, model), rng) =>
-      val util = model.sampleUtilityTable(rng)
-      val adoption = EpicSimulator.diffuse(g, alloc, util, rng)
-      (EpicSimulator.welfare(util, adoption), EpicSimulator.adoptionCount(adoption))
-    }(draw => draw(0, runs))
+    val rows = SeededBatch.run(spark, (g, alloc, model), seed)(world)(draw => draw(0, runs))
     Estimate(rows.map(_._1), rows.map(_._2))
+  }
+
+  /** One run: a noise world, then an edge world and the EPIC diffusion
+    * from the same `rng`; its welfare and adoption count.
+    */
+  private[repro] def world(p: (SocialGraph, Map[Int, Int], UtilityModel), rng: SplittableRandom): (Double, Long) = {
+    val (g, alloc, model) = p
+    val util = model.sampleUtilityTable(rng)
+    val adoption = EpicSimulator.diffuse(g, alloc, util, rng)
+    (EpicSimulator.welfare(util, adoption), EpicSimulator.adoptionCount(adoption))
   }
 }

@@ -1,6 +1,7 @@
 package repro.exec
 
 import java.util.SplittableRandom
+import java.util.concurrent.{Callable, ConcurrentHashMap, ExecutionException, ExecutorService, Executors}
 
 import scala.reflect.ClassTag
 
@@ -8,20 +9,36 @@ import org.apache.spark.sql.SparkSession
 
 import repro.im.RRSets
 
-/** The one place Spark runs Monte-Carlo samples, IMM/PRIMM's RR sets and
-  * the possible worlds of a welfare estimate alike: a batch of independent
+/** The one place Monte-Carlo samples run, IMM/PRIMM's RR sets and the
+  * possible worlds of a welfare estimate alike: a batch of independent
   * samples, each seeded by its own id.
   */
 object SeededBatch {
 
-  /** Broadcast `payload` once and run `body` with `draw(offset, count)`,
-    * which maps the ids `[offset, offset+count)` on Spark, id `i` yielding
+  /** Run `body` with `draw(offset, count)`, which maps the ids
+    * `[offset, offset+count)`, id `i` yielding
     * `sample(payload, new SplittableRandom(RRSets.mix(seed, i)))`, and
     * returns the results in id order. Each result depends only on its id,
-    * never on the partitioning; `count <= 0` draws nothing. The broadcast
-    * is destroyed when `body` returns or throws.
+    * never on how the ids are split; `count <= 0` draws nothing. A `draw`
+    * after `body` returns or throws fails.
+    *
+    * On a local master the ids are mapped in this JVM on a fixed pool of
+    * `defaultParallelism` threads, with `payload` handed over by reference:
+    * a Spark job there costs about 25 ms of scheduling, more than a whole
+    * batch of a few thousand RR sets. Elsewhere the batch runs [[onSpark]].
     */
   def run[P: ClassTag, A: ClassTag, R](spark: SparkSession, payload: P, seed: Long)(
+      sample: (P, SplittableRandom) => A)(body: ((Long, Long) => Array[A]) => R): R = {
+    val sc = spark.sparkContext
+    if (sc.isLocal) inProcess(sc.defaultParallelism, payload, seed)(sample)(body)
+    else onSpark(spark, payload, seed)(sample)(body)
+  }
+
+  /** [[run]] as Spark jobs: `payload` is broadcast once, each `draw` is one
+    * job over `sc.range`, and the broadcast is destroyed when `body`
+    * returns or throws.
+    */
+  private[exec] def onSpark[P: ClassTag, A: ClassTag, R](spark: SparkSession, payload: P, seed: Long)(
       sample: (P, SplittableRandom) => A)(body: ((Long, Long) => Array[A]) => R): R = {
     val sc = spark.sparkContext
     val b = sc.broadcast(payload)
@@ -32,8 +49,54 @@ object SeededBatch {
     try body(draw) finally b.destroy()
   }
 
-  /** Partitions of `count >= 1` ids on `parallelism` task slots: four per slot, at most `count`.
-    * Four balance uneven samples better than two: a Fig 5 cell's welfare ran ~6% faster on local[4].
+  /** [[run]] on [[pool]]`(parallelism)`: each `draw` splits its ids into
+    * the [[slices]] chunks a Spark job would, and writes each result at its
+    * id. If a sample throws, the other chunks stop at their next sample and
+    * the first failing chunk's exception is rethrown once all have stopped.
+    */
+  private def inProcess[P, A: ClassTag, R](parallelism: Int, payload: P, seed: Long)(
+      sample: (P, SplittableRandom) => A)(body: ((Long, Long) => Array[A]) => R): R = {
+    @volatile var open = true
+    def draw(offset: Long, count: Long): Array[A] = {
+      if (!open) throw new IllegalStateException("draw on a seeded batch whose body has returned")
+      if (count <= 0) Array.empty
+      else {
+        val out = new Array[A](count.toInt)
+        val chunks = slices(count, parallelism)
+        @volatile var failed = false
+        val tasks = java.util.Arrays.asList((0 until chunks).map { c =>
+          val task: Callable[Unit] = () => {
+            var j = count * c / chunks
+            val until = count * (c + 1) / chunks
+            try while (j < until && !failed) {
+              out(j.toInt) = sample(payload, new SplittableRandom(RRSets.mix(seed, offset + j)))
+              j += 1
+            } catch { case t: Throwable => failed = true; throw t }
+          }
+          task
+        }: _*)
+        pool(parallelism).invokeAll(tasks).forEach { f =>
+          try f.get() catch { case e: ExecutionException => throw e.getCause }
+        }
+        out
+      }
+    }
+    try body(draw) finally open = false
+  }
+
+  private val pools = new ConcurrentHashMap[Int, ExecutorService]
+
+  /** A fixed pool of `parallelism` daemon threads, created once per value. */
+  private def pool(parallelism: Int): ExecutorService =
+    pools.computeIfAbsent(parallelism, p => Executors.newFixedThreadPool(p, (r: Runnable) => {
+      val t = new Thread(r, "seeded-batch")
+      t.setDaemon(true)
+      t
+    }))
+
+  /** Partitions (or in-process chunks) of `count >= 1` ids on `parallelism` task slots: four per
+    * slot, at most `count`. Four balance uneven samples better than two: a Fig 5 cell's welfare ran
+    * ~6% faster on local[4].
     */
   private[exec] def slices(count: Long, parallelism: Int): Int = math.min(count, parallelism * 4L).toInt
 }

@@ -10,8 +10,9 @@ package repro.graph
   * `fwdProb` and `revProb`. Read them through [[fwdP]] and [[revP]].
   *
   * The whole structure is a value object of primitive arrays so it can be
-  * broadcast to Spark executors: a few MB for the small stand-ins, about
-  * 28 MB for the Twitter stand-in (50K nodes, 3.5M edges).
+  * broadcast to Spark executors on a cluster master (a local master's
+  * sampling threads share it by reference): a few MB for the small
+  * stand-ins, about 28 MB for the Twitter stand-in (50K nodes, 3.5M edges).
   *
   * @param name       human-readable dataset name
   * @param n          number of nodes; node ids are `0 until n`

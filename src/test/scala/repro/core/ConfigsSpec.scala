@@ -127,6 +127,16 @@ class ConfigsSpec extends AnyFunSuite {
     assert(b.slice(1, 9).forall(x => x >= 48 && x <= 50))
   }
 
+  test("skewedSplit fails when the middle share outgrows the 20% item") {
+    // skewedSplit(3, 10) would give 2,7,1 and skewedSplit(5, 100) 20,26,26,26,2: the max is not item 0
+    for ((k, total) <- Seq(3 -> 10, 5 -> 100)) {
+      val e = intercept[IllegalArgumentException](Configs.skewedSplit(k, total))
+      assert(e.getMessage.contains("item 0"), e.getMessage)
+    }
+    // six items fit: the middle ties the 20% item, which stays at index 0
+    assert(Configs.skewedSplit(6, 100).toSeq == Seq(20, 20, 20, 19, 19, 2))
+  }
+
   test("skew distributions match §6.4 / Fig 8(c)") {
     val d = Configs.skewDistributions.toMap
     assert(d("Uniform").sum == 500 && d("Uniform").distinct.length == 1)

@@ -2,19 +2,25 @@ package repro.exec
 
 import java.util.SplittableRandom
 
+import scala.reflect.ClassTag
+
+import org.apache.spark.SparkException
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.{PropHelpers, SparkSpec}
+import repro.comic.ComicBaselines.{RRCimSampler, RRSimSampler}
 import repro.core.Configs
-import repro.epic.{EpicSimulator, Welfare}
-import repro.graph.{GraphGen, SocialGraph}
-import repro.im.{ICRRSampler, RRSets}
-import repro.items.UtilityModel
+import repro.epic.Welfare
+import repro.graph.GraphGen
+import repro.im.{CountingSampler, ICRRSampler, RRSampler, RRSets}
 
 /** Partition invariance of the seeded batches behind RR sampling and
-  * welfare estimation: every batch equals a serial loop over the same ids,
-  * however Spark splits it, and a batch split at any id concatenates to
-  * the whole.
+  * welfare estimation, on both paths of [[SeededBatch]]: in process (what
+  * `run` takes on the tests' local master) and as Spark jobs (`onSpark`,
+  * what a cluster master runs). Every batch equals a serial loop over the
+  * same ids, however it is split, and a batch split at any id concatenates
+  * to the whole. Local masters never serialize a payload, so the `onSpark`
+  * cases are what checks that each payload still ships to a cluster.
   */
 class SeededBatchSpec extends AnyFunSuite with SparkSpec with PropHelpers {
 
@@ -22,17 +28,30 @@ class SeededBatchSpec extends AnyFunSuite with SparkSpec with PropHelpers {
   private lazy val sampler = new ICRRSampler(g)
   private lazy val cfg = Configs.config7(3)
   private lazy val alloc = Map(0 -> 7, 5 -> 1, 9 -> 6, 17 -> 2)
+  private lazy val gap = Configs.config1.gap
+  private lazy val samplers: Seq[RRSampler] =
+    Seq(sampler, new RRSimSampler(g, Array(0, 5, 9), gap), new RRCimSampler(g, Array(17, 2), gap))
 
-  private def serialRR(seed: Long, ids: Range): Seq[Seq[Int]] =
-    ids.map(i => sampler.sample(new SplittableRandom(RRSets.mix(seed, i.toLong))).toSeq)
+  private def serialRR(s: RRSampler, seed: Long, ids: Range): Seq[Seq[Int]] =
+    ids.map(i => s.sample(new SplittableRandom(RRSets.mix(seed, i.toLong))).toSeq)
 
   private lazy val worldPayload = (g, alloc, cfg.model)
 
   private def serialWorlds(seed: Long, runs: Int): Seq[(Double, Long)] =
-    (0 until runs).map(r => SeededBatchSpec.world(worldPayload, new SplittableRandom(RRSets.mix(seed, r.toLong))))
+    (0 until runs).map(r => Welfare.world(worldPayload, new SplittableRandom(RRSets.mix(seed, r.toLong))))
+
+  /** A batch on one of the two paths: `onSpark`, or `run` on this local master. */
+  private def batch[P: ClassTag, A: ClassTag, R](onSpark: Boolean, payload: P, seed: Long)(
+      sample: (P, SplittableRandom) => A)(body: ((Long, Long) => Array[A]) => R): R =
+    if (onSpark) SeededBatch.onSpark(spark, payload, seed)(sample)(body)
+    else {
+      assert(spark.sparkContext.isLocal)
+      SeededBatch.run(spark, payload, seed)(sample)(body)
+    }
+  private val paths = Seq("in process" -> false, "on Spark" -> true)
 
   // On four task slots (the benchmark's local[4]) these counts run as 1, 3
-  // and 16 partitions.
+  // and 16 partitions or chunks.
   private val counts = Seq(1, 3, 40)
 
   test("the partition policy gives 1, 3 and 16 partitions on four slots") {
@@ -42,10 +61,14 @@ class SeededBatchSpec extends AnyFunSuite with SparkSpec with PropHelpers {
 
   test("RR batches equal a serial loop over the same ids") {
     forSeeds(3) { seed =>
-      for (n <- counts; offset <- Seq(0L, 7L)) {
-        val batch = RRSets.generate(spark, sampler, n.toLong, seed, offset)
-        assert(batch.map(_.toSeq).toSeq == serialRR(seed, offset.toInt until offset.toInt + n), s"n=$n offset=$offset")
+      for ((path, onSpark) <- paths; s <- samplers; n <- counts; offset <- Seq(0L, 7L)) {
+        val rr = batch(onSpark, s, seed)(_.sample(_))(draw => draw(offset, n.toLong))
+        assert(rr.map(_.toSeq).toSeq == serialRR(s, seed, offset.toInt until offset.toInt + n),
+          s"$path ${s.getClass.getSimpleName} n=$n offset=$offset")
       }
+      for (n <- counts; offset <- Seq(0L, 7L))
+        assert(RRSets.generate(spark, sampler, n.toLong, seed, offset).map(_.toSeq).toSeq ==
+          serialRR(sampler, seed, offset.toInt until offset.toInt + n), s"generate n=$n offset=$offset")
     }
   }
 
@@ -56,6 +79,8 @@ class SeededBatchSpec extends AnyFunSuite with SparkSpec with PropHelpers {
         val serial = serialWorlds(seed, n)
         assert(est.perRunWelfare.toSeq == serial.map(_._1), s"n=$n")
         assert(est.perRunAdoptions.toSeq == serial.map(_._2), s"n=$n")
+        for ((path, onSpark) <- paths)
+          assert(batch(onSpark, worldPayload, seed)(Welfare.world)(_(0, n.toLong)).toSeq == serial, s"$path n=$n")
       }
     }
   }
@@ -68,10 +93,12 @@ class SeededBatchSpec extends AnyFunSuite with SparkSpec with PropHelpers {
       whole
     }
     forSeeds(2) { seed =>
-      val rr = SeededBatch.run(spark, sampler, seed)(_.sample(_).toSeq)(splits)
-      assert(rr == serialRR(seed, 0 until n))
-      val worlds = SeededBatch.run(spark, worldPayload, seed)(SeededBatchSpec.world)(splits)
-      assert(worlds == serialWorlds(seed, n))
+      for ((path, onSpark) <- paths) {
+        val rr = batch(onSpark, sampler, seed)(_.sample(_).toSeq)(splits)
+        assert(rr == serialRR(sampler, seed, 0 until n), path)
+        val worlds = batch(onSpark, worldPayload, seed)(Welfare.world)(splits)
+        assert(worlds == serialWorlds(seed, n), path)
+      }
     }
   }
 
@@ -79,14 +106,47 @@ class SeededBatchSpec extends AnyFunSuite with SparkSpec with PropHelpers {
     for (runs <- Seq(0, -1))
       intercept[IllegalArgumentException](Welfare.estimate(spark, g, alloc, cfg.model, runs))
   }
+
+  /** Serializations and draws of a payload over one batch of three draws. */
+  private def countWrites(onSpark: Boolean): (Int, Long) = {
+    CountingSampler.writes.set(0); CountingSampler.draws.set(0)
+    val rr = batch(onSpark, new CountingSampler(sampler), 5L)(_.sample(_))(draw => draw(0, 10) ++ draw(10, 25) ++ draw(35, 5))
+    assert(rr.map(_.toSeq).toSeq == serialRR(sampler, 5L, 0 until 40))
+    (CountingSampler.writes.get, CountingSampler.draws.get)
+  }
+
+  test("on Spark, one run serializes its payload once over several draws") {
+    assert(countWrites(onSpark = true) == (1, 40L))
+  }
+
+  test("on Spark, a failed batch destroys its broadcast") {
+    var handle: Option[(Long, Long) => Array[Array[Int]]] = None
+    intercept[SparkException] {
+      batch(onSpark = true, new FailingSampler, 1L)(_.sample(_)) { draw => handle = Some(draw); draw(0, 4) }
+    }
+    // a destroyed broadcast cannot ship with a later batch
+    val e = intercept[SparkException](handle.get(0, 4))
+    assert(Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null).exists(_.getMessage.contains("destroyed")), e)
+  }
+
+  test("in process, the payload is never serialized") {
+    assert(countWrites(onSpark = false) == (0, 40L))
+  }
+
+  test("in process, a failing sampler's own exception reaches the caller") {
+    val e = intercept[RuntimeException](batch(onSpark = false, new FailingSampler, 1L)(_.sample(_))(_(0, 40)))
+    assert(e.getClass == classOf[RuntimeException] && e.getMessage == "sampler failed", e)
+    // the pool still runs the next batch
+    assert(RRSets.generate(spark, sampler, 40, 3L, 0).map(_.toSeq).toSeq == serialRR(sampler, 3L, 0 until 40))
+  }
+
+  test("in process, a draw after the batch closes throws") {
+    val draw = batch(onSpark = false, sampler, 1L)(_.sample(_))(identity)
+    intercept[IllegalStateException](draw(0, 4))
+    intercept[IllegalStateException](draw(0, 0))
+  }
 }
 
-object SeededBatchSpec {
-  /** One welfare world, as `Welfare.estimate` plays it. */
-  def world(p: (SocialGraph, Map[Int, Int], UtilityModel), rng: SplittableRandom): (Double, Long) = {
-    val (g, alloc, model) = p
-    val util = model.sampleUtilityTable(rng)
-    val adoption = EpicSimulator.diffuse(g, alloc, util, rng)
-    (EpicSimulator.welfare(util, adoption), EpicSimulator.adoptionCount(adoption))
-  }
+final class FailingSampler extends RRSampler {
+  def sample(rng: SplittableRandom): Array[Int] = sys.error("sampler failed")
 }

@@ -194,22 +194,16 @@ class PRIMMSpec extends AnyFunSuite with SparkSpec {
     assert(res.seeds.sorted.toSeq == Seq(37, 38, 39))
   }
 
-  test("one run broadcasts its sampler once and draws exactly rrCount RR sets") {
+  test("one run draws exactly rrCount RR sets") {
     val g = GraphGen.powerLawDirected("p", 400, 3000, seed = 11)
-    val sc = spark.sparkContext
-    CountingSampler.writes.set(0); CountingSampler.draws.set(0)
-    sc.setJobGroup("primm-broadcast", "PRIMM sampler broadcast count")
-    val res =
-      try PRIMM.run(spark, g, Seq(8, 4, 2), eps = 0.5, seed = 14, sampler = Some(new CountingSampler(new ICRRSampler(g))))
-      finally sc.clearJobGroup()
-    assert(sc.statusTracker.getJobIdsForGroup("primm-broadcast").length >= 2) // several sampling jobs...
-    assert(CountingSampler.writes.get == 1) // ...share one broadcast
+    CountingSampler.draws.set(0)
+    val res = PRIMM.run(spark, g, Seq(8, 4, 2), eps = 0.5, seed = 14, sampler = Some(new CountingSampler(new ICRRSampler(g))))
     assert(CountingSampler.draws.get == res.rrCount)
   }
 }
 
 /** Counts its draws and its serializations (one per Spark broadcast) in
-  * JVM-wide counters, which tasks of a local master share.
+  * JVM-wide counters, which every sampling thread in this JVM shares.
   */
 final class CountingSampler(inner: RRSampler) extends RRSampler {
   def sample(rng: java.util.SplittableRandom): Array[Int] = {

@@ -2,7 +2,6 @@ package repro.im
 
 import java.util.SplittableRandom
 
-import org.apache.spark.SparkException
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.{PropHelpers, SparkSpec}
@@ -89,18 +88,4 @@ class RRSetsSpec extends AnyFunSuite with SparkSpec with PropHelpers {
     val own = RRSets.generate(spark, sampler, count = 20, seed = 5, offset = 0)
     assert(shared.map(_.toSeq).toSeq == own.map(_.toSeq).toSeq)
   }
-
-  test("the broadcast is destroyed when sampling fails") {
-    var handle: Option[(Long, Long) => Array[Array[Int]]] = None
-    intercept[SparkException] {
-      SeededBatch.run(spark, new FailingSampler, 1L)(_.sample(_)) { draw => handle = Some(draw); draw(0, 4) }
-    }
-    // a destroyed broadcast cannot ship with a later batch
-    val e = intercept[SparkException](handle.get(0, 4))
-    assert(Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null).exists(_.getMessage.contains("destroyed")), e)
-  }
-}
-
-final class FailingSampler extends RRSampler {
-  def sample(rng: SplittableRandom): Array[Int] = sys.error("sampler failed")
 }
