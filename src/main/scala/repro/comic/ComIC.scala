@@ -26,7 +26,7 @@ object Gaussian {
   * `q_{B|A}` — the probability a node adopts one item given what it has
   * already adopted.
   */
-final case class Gap(qA0: Double, qAB: Double, qB0: Double, qBA: Double) extends Serializable {
+final case class Gap(qA0: Double, qAB: Double, qB0: Double, qBA: Double) {
   require(Seq(qA0, qAB, qB0, qBA).forall(q => q >= 0 && q <= 1), s"GAP probabilities must lie in [0, 1]: $this")
 }
 

@@ -29,14 +29,14 @@ object EpicSimulator {
     val desire = new Array[Int](g.n)
     val adoption = new Array[Int](g.n)
     val coins = new Traversal.EdgeCoins(g, testEdge)
-    val rule = new Adoption.Memo(util) // this world's nodes all share `util`
+    val adopt = Adoption.inWorld(util)
 
     // t = 1: seeds desire their allocation and adopt the best subset.
     val seeds = new Array[Int](alloc.size)
     var nSeeds = 0
     for ((v, mask) <- alloc if mask != 0) {
       desire(v) |= mask
-      val a = rule.adopt(desire(v), 0)
+      val a = adopt(desire(v), 0)
       if (a != adoption(v)) { adoption(v) = a; seeds(nSeeds) = v; nSeeds += 1 }
     }
 
@@ -47,7 +47,7 @@ object EpicSimulator {
         (aU & ~desire(v)) != 0 && { desire(v) |= aU; true }
       }
     } { v =>
-      val a = rule.adopt(desire(v), adoption(v))
+      val a = adopt(desire(v), adoption(v))
       a != adoption(v) && { adoption(v) = a; true }
     }
     adoption

@@ -36,7 +36,7 @@ final case class SocialGraph(
     revProb: Array[Double],
     wcProb: Array[Double],
     undirected: Boolean,
-) extends Serializable {
+) {
 
   /** Number of directed edges stored. */
   def m: Long = fwdDst.length.toLong

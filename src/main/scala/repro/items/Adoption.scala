@@ -42,62 +42,47 @@ object Adoption {
     if (util(union) >= bestU - Tol) union else largest
   }
 
-  /** A [[Memo]] runs [[adopt]] directly when `desire & ~prev` has fewer
-    * items than this, since a probe costs more than such a scan. Set by
-    * measurement on Fig 5's welfare cell, where 4 and 8 were within noise.
-    */
-  private[items] val MemoCut = 6
-
-  /** Slots a [[Memo]] starts with; it doubles them at half load. */
-  private[items] val MemoSlots = 16
-
-  private val Empty = -1L // never a key: desire = prev = -1 has no free item
-
-  /** [[adopt]] over one utility table, memoized by `(desire, prev)`.
+  /** The rule for every node of one possible world, as
+    * `(desire, prev) => adoption`; every node of the world reads `util`.
     *
-    * In one possible world every node reads the same table, so the rule is
-    * a function of `(desire, prev)`; seeds sharing greedyWM's nested
-    * bundles and the nodes they reach repeat the same large scans. Calls
-    * with at least [[MemoCut]] free items are kept in an open-addressing
-    * table of primitive keys and results; every miss calls [[adopt]], so
-    * each result, and each rejected argument, is the plain rule's.
+    * When `util` is supermodular the answer is `byDesire(util)(desire)`,
+    * whatever `prev` is, provided `prev` was itself the rule's answer for a
+    * smaller desire `R′ ⊆ R` (as every adoption in a diffusion is). Let
+    * `A = prev` and let `B` be the union of the maxima of `U` over the
+    * subsets of `R`, a maximum by Lemma 2. `A` is the union of the maxima
+    * over the subsets of `R′`, so `U(A ∩ B) ≤ U(A)`; supermodularity gives
+    * `U(A ∪ B) + U(A ∩ B) ≥ U(A) + U(B)`, so `U(A ∪ B) ≥ U(B)`, and `A ∪ B`
+    * is a maximum over the subsets of `R`, hence within `B`: `A ⊆ B`. `B` is
+    * then the union of the maxima above `A`, which is `adopt(util, R, A)`.
+    * Any other world (the learned PS4 table is not supermodular) calls
+    * [[adopt]] itself.
     */
-  final class Memo(util: Array[Double]) {
-    private var keys = Array.fill(MemoSlots)(Empty)
-    private var vals = new Array[Int](MemoSlots)
-    private var size = 0
+  def inWorld(util: Array[Double]): (Int, Int) => Int =
+    if (SetFunctions.isSupermodular(util)) { val table = byDesire(util); (desire, _) => table(desire) }
+    else (desire, prev) => adopt(util, desire, prev)
 
-    def adopt(desire: Int, prev: Int): Int =
-      if (Integer.bitCount(desire & ~prev) < MemoCut) Adoption.adopt(util, desire, prev)
-      else {
-        val key = (desire.toLong << 32) | (prev & 0xFFFFFFFFL)
-        val i = find(keys, key)
-        if (keys(i) == key) vals(i)
-        else {
-          val a = Adoption.adopt(util, desire, prev)
-          keys(i) = key; vals(i) = a; size += 1
-          if (2 * size > keys.length) grow()
-          a
-        }
+  /** `table(R)`: the union of the maxima of `util` over the subsets of `R`,
+    * with ties as in [[adopt]], for every desire set `R`. The best subsets
+    * of `R` are `R` itself and the best subsets of each `R` minus one item,
+    * so one pass in increasing mask order costs `k·2^k` steps.
+    */
+  private[items] def byDesire(util: Array[Double]): Array[Int] = {
+    val table = new Array[Int](util.length) // table(0) = 0, the empty set
+    var r = 1
+    while (r < util.length) {
+      var bestU = util(r)
+      var union = r
+      var rest = r
+      while (rest != 0) {
+        val a = table(r & ~Integer.lowestOneBit(rest))
+        val u = util(a)
+        if (u > bestU + Tol) { bestU = u; union = a }
+        else if (u >= bestU - Tol) union |= a
+        rest &= rest - 1
       }
-
-    /** The slot holding `key`, or the empty slot where it belongs. */
-    private def find(ks: Array[Long], key: Long): Int = {
-      val h = key * 0x9E3779B97F4A7C15L
-      var i = (h ^ (h >>> 32)).toInt & (ks.length - 1)
-      while (ks(i) != Empty && ks(i) != key) i = (i + 1) & (ks.length - 1)
-      i
+      table(r) = union
+      r += 1
     }
-
-    private def grow(): Unit = {
-      val ks = Array.fill(2 * keys.length)(Empty)
-      val vs = new Array[Int](ks.length)
-      var j = 0
-      while (j < keys.length) {
-        if (keys(j) != Empty) { val i = find(ks, keys(j)); ks(i) = keys(j); vs(i) = vals(j) }
-        j += 1
-      }
-      keys = ks; vals = vs
-    }
+    table
   }
 }

@@ -108,7 +108,9 @@ object LevelWiseValuation {
 }
 
 /** Per-item zero-mean Gaussian noise, additive across items (§3.1). */
-final case class NoiseSpec(stds: Array[Double]) extends Serializable {
+final case class NoiseSpec(stds: Array[Double]) {
+  require(stds.forall(s => s >= 0 && s < Double.PositiveInfinity),
+    s"noise standard deviations must be finite and non-negative, got ${stds.mkString("[", ", ", "]")}")
   def k: Int = stds.length
 
   /** One noise world: a draw of per-item noise terms. */
@@ -128,8 +130,7 @@ object NoiseSpec {
   * paper): the valuation as its dense table over all `2^k` masks
   * (see [[Valuations]]), additive price, additive zero-mean noise.
   */
-final case class UtilityModel(valuation: Array[Double], prices: Array[Double], noise: NoiseSpec)
-    extends Serializable {
+final case class UtilityModel(valuation: Array[Double], prices: Array[Double], noise: NoiseSpec) {
   require(valuation.length == UtilityModel.tableSize(prices.length),
     s"value table must have 2^k = ${1 << prices.length} entries for k = ${prices.length} prices, got ${valuation.length}")
   require(valuation(0) == 0.0, "V(empty) must be 0")
@@ -175,33 +176,36 @@ object UtilityModel {
   }
 }
 
-/** Set-function property checks used by tests and configuration builders. */
+/** Set-function property checks: the adoption rule checks each possible
+  * world's utility table ([[Adoption.inWorld]]), tests and configuration
+  * builders check valuations.
+  */
 object SetFunctions {
   /** True iff `f` (as a dense table over `2^k` masks) is supermodular:
     * `f(S+i) - f(S) <= f(T+i) - f(T)` for all `S ⊆ T`, `i ∉ T`.
     */
   def isSupermodular(f: Array[Double], tol: Double = 1e-9): Boolean = {
     val k = Integer.numberOfTrailingZeros(f.length)
-    // Equivalent local criterion: for all masks S and i != j not in S:
-    // f(S+i+j) - f(S+j) >= f(S+i) - f(S).
-    var s = 0
-    while (s < f.length) {
-      var i = 0
-      while (i < k) {
-        if ((s & (1 << i)) == 0) {
-          var j = i + 1
-          while (j < k) {
-            if ((s & (1 << j)) == 0) {
-              val lhs = f(s | (1 << i) | (1 << j)) - f(s | (1 << j))
-              val rhs = f(s | (1 << i)) - f(s)
-              if (lhs < rhs - tol) return false
-            }
-            j += 1
-          }
+    // Equivalent local criterion: for every pair i < j and every S without
+    // them, f(S+i+j) - f(S+j) >= f(S+i) - f(S). Pair by pair, S walks the
+    // subsets of the other items, so no mask is tested for i or j.
+    var i = 0
+    while (i < k) {
+      var j = i + 1
+      while (j < k) {
+        val bi = 1 << i
+        val bj = 1 << j
+        val others = (f.length - 1) & ~(bi | bj)
+        var s = others
+        var more = true
+        while (more) {
+          if (f(s | bi | bj) - f(s | bj) < f(s | bi) - f(s) - tol) return false
+          more = s != 0
+          s = (s - 1) & others
         }
-        i += 1
+        j += 1
       }
-      s += 1
+      i += 1
     }
     true
   }

@@ -9,8 +9,8 @@ import repro.jobs.JobSession
 /** Base for every test: one local-mode SparkSession for the whole run.
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
-  * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit).
+  * SPARK_DRIVER_MEM (48g when unset); the verify command in ROADMAP.md
+  * passes half of the host's `MemTotal`, clamped to 2–8g.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared

@@ -97,6 +97,9 @@ class AdoptionSpec extends AnyFunSuite with PropHelpers {
       val got = Adoption.adopt(util, desire, prev)
       assert(argmax.contains(got), s"$clue desire=$desire prev=$prev got=$got util=${util.toSeq}")
       assert(Integer.bitCount(got) == argmax.map(Integer.bitCount).max, s"$clue desire=$desire prev=$prev")
+      // A world that is not supermodular gets the plain rule, for any prev.
+      if (!SetFunctions.isSupermodular(util))
+        assert(Adoption.inWorld(util)(desire, prev) == got, s"$clue inWorld desire=$desire prev=$prev")
     }
     // Small integer utilities: ties are common and most tables are not supermodular.
     var nonSupermodular = 0
@@ -118,72 +121,35 @@ class AdoptionSpec extends AnyFunSuite with PropHelpers {
     for ((util, w) <- tables.zipWithIndex; desire <- 0 until 32) check(util, 5, desire, 0, s"PS4 world $w")
   }
 
-  test("Memo equals plain adopt: random tables, repeated keys, growth, the cut and bit 19") {
-    import Adoption.{MemoCut, MemoSlots}
-    /** A random `T ⊆ mask` with exactly `n` of its items (all if it has fewer). */
-    def pick(mask: Int, n: Int, rng: SplittableRandom): Int = {
-      val items = Itemsets.items(mask).toBuffer
-      var out = 0
-      while (Integer.bitCount(out) < n && items.nonEmpty) out |= 1 << items.remove(rng.nextInt(items.length))
-      out
-    }
-    /** Feed `calls` random `(desire, prev)` pairs over `k` items to one memo,
-      * re-asking earlier pairs half of the time; returns the distinct pairs
-      * that reached the table (at least `MemoCut` free items).
-      */
-    def stream(util: Array[Double], k: Int, calls: Int, rng: SplittableRandom, clue: String): Int = {
-      val memo = new Adoption.Memo(util)
-      val asked = scala.collection.mutable.ArrayBuffer.empty[(Int, Int)]
-      for (_ <- 0 until calls) {
-        val (desire, prev) =
-          if (asked.nonEmpty && rng.nextBoolean()) asked(rng.nextInt(asked.length))
-          else {
-            val desire = rng.nextInt(1 << k) | rng.nextInt(1 << k) // about 3k/4 items
-            // free masks of every size, with just below and at the cut most often
-            val free = rng.nextInt(4) match {
-              case 0 => MemoCut - 1
-              case 1 => MemoCut
-              case _ => rng.nextInt(k + 1)
-            }
-            (desire, desire & ~pick(desire, free, rng))
-          }
-        asked += ((desire, prev))
-        assert(memo.adopt(desire, prev) == Adoption.adopt(util, desire, prev), s"$clue desire=$desire prev=$prev")
+  test("byDesire(util)(R) is adopt(util, R, prev) for every earlier adoption prev in supermodular worlds") {
+    /** Every `(R′, R)` with `R′ ⊆ R` over `k` items. */
+    def nested(k: Int): Seq[(Int, Int)] =
+      for (r <- 0 until (1 << k); r0 <- Itemsets.nonEmptySubsets(r) :+ 0) yield (r0, r)
+    def check(util: Array[Double], k: Int, clue: String): Unit = {
+      assert(SetFunctions.isSupermodular(util), clue)
+      val table = Adoption.byDesire(util)
+      val rule = Adoption.inWorld(util)
+      for ((r0, r) <- nested(k); prev <- Seq(table(r0), Adoption.adopt(util, r0, 0))) {
+        val want = Adoption.adopt(util, r, prev)
+        assert(table(r) == want, s"$clue desire=$r prev=$prev util=${util.toSeq}")
+        assert(rule(r, prev) == want, s"$clue desire=$r prev=$prev")
       }
-      asked.distinct.count { case (d, p) => Integer.bitCount(d & ~p) >= MemoCut }
     }
-    forSeeds(8) { s =>
+    forSeeds(60) { s =>
       val rng = new SplittableRandom(s)
-      val k = 10
-      val supermodular = randomSupermodularUtil(k, rng)
-      val rough = Array.tabulate(1 << k)(m => if (m == 0) 0.0 else (rng.nextInt(7) - 3).toDouble)
-      assert(!SetFunctions.isSupermodular(rough))
-      assert(stream(supermodular, k, 600, rng, s"supermodular seed=$s") > 4 * MemoSlots)
-      assert(stream(rough, k, 600, rng, s"non-supermodular seed=$s") > 4 * MemoSlots)
+      val k = 1 + rng.nextInt(6)
+      check(randomSupermodularUtil(k, rng), k, s"random seed=$s")
+      // Integer singletons and non-negative integer interactions, no noise:
+      // exact ties everywhere, and a supermodular table by construction.
+      val w = Array.tabulate(1 << k) { m =>
+        if (m == 0) 0.0 else if (Integer.bitCount(m) == 1) rng.nextInt(5) - 3.0 else if (rng.nextInt(3) == 0) 1.0 else 0.0
+      }
+      for (i <- 0 until k; m <- 0 until (1 << k) if (m & (1 << i)) != 0) w(m) += w(m & ~(1 << i))
+      check(w, k, s"integer seed=$s")
     }
-    // PS4 (five items, so every scan is below the cut): the table and noise worlds.
-    val ps4 = repro.core.Configs.realPs4.model
-    val rng = new SplittableRandom(11)
-    for (w <- 0 until 10)
-      stream(ps4.sampleUtilityTable(rng), 5, 200, rng, s"PS4 world $w")
-    // Twenty items: keys that differ only in bit 19 of desire or prev.
-    val util20 = Array.tabulate(1 << 20)(m => if (m == 0) 0.0 else rng.nextInt(9) - 4.0)
-    val memo = new Adoption.Memo(util20)
-    for (_ <- 0 until 300) {
-      val free = MemoCut - 1 + rng.nextInt(4)
-      val desire = rng.nextInt(1 << 19) | (1 << 19)
-      val keep = desire & ~pick(desire & ((1 << 19) - 1), free, rng)
-      for (d <- Seq(desire, desire & ~(1 << 19)); p <- Seq(keep, keep & ~(1 << 19)) if (p & ~d) == 0)
-        assert(memo.adopt(d, p) == Adoption.adopt(util20, d, p), s"k=20 desire=$d prev=$p")
-    }
-  }
-
-  test("Memo rejects a previous adoption outside the desire set, below and at the cut") {
-    val memo = new Adoption.Memo(Array.fill(1 << 10)(1.0).updated(0, 0.0))
-    for (free <- Seq(Adoption.MemoCut - 1, Adoption.MemoCut); _ <- 0 until 2) {
-      val desire = (1 << free) - 1
-      intercept[IllegalArgumentException](memo.adopt(desire, 1 << 9))
-    }
+    import repro.core.Configs._
+    for (cfg <- Seq(config1, config3, config5, config7(10), configCone(8, 10, 0), config10(10)))
+      check(cfg.detUtil, cfg.model.k, cfg.name)
   }
 
   test("empty-desire adoption stays empty") {

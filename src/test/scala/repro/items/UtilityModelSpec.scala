@@ -83,6 +83,14 @@ class UtilityModelSpec extends AnyFunSuite with PropHelpers {
     assert(math.abs(varr - 4.0) < 0.25, s"var=$varr")
   }
 
+  test("NoiseSpec rejects a negative or non-finite standard deviation") {
+    for (std <- Seq(-1.0, Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity)) {
+      intercept[IllegalArgumentException](NoiseSpec(Array(1.0, std)))
+      intercept[IllegalArgumentException](NoiseSpec.uniform(2, std))
+    }
+    assert(NoiseSpec(Array(0.0, 2.5)).k == 2)
+  }
+
   test("model validates dimension agreement") {
     intercept[IllegalArgumentException] {
       UtilityModel(Valuations.twoItem(1, 1, 3), Array(1.0), NoiseSpec.none(2))

@@ -90,6 +90,39 @@ class ValuationSpec extends AnyFunSuite with PropHelpers {
     assert(!SetFunctions.isSupermodular(f))
   }
 
+  test("SetFunctions.isSupermodular agrees with the definition over all S ⊆ T: supermodular, rough and PS4 tables") {
+    /** `f(S+i) - f(S) <= f(T+i) - f(T)` for all `S ⊆ T` and `i ∉ T`, by brute force. */
+    def byDefinition(f: Array[Double], k: Int): Boolean =
+      (0 until (1 << k)).forall { t =>
+        (Itemsets.nonEmptySubsets(t) :+ 0).forall { s =>
+          (0 until k).filter(i => (t & (1 << i)) == 0).forall { i =>
+            f(s | (1 << i)) - f(s) <= f(t | (1 << i)) - f(t) + 1e-9
+          }
+        }
+      }
+    var yes = 0
+    var no = 0
+    def check(f: Array[Double], k: Int, clue: String): Unit = {
+      val want = byDefinition(f, k)
+      assert(SetFunctions.isSupermodular(f) == want, clue)
+      if (want) yes += 1 else no += 1
+    }
+    forSeeds(100) { s =>
+      val rng = new SplittableRandom(s)
+      val k = 1 + rng.nextInt(5)
+      val prices = Array.fill(k)(1.0 + rng.nextDouble())
+      val v = LevelWiseValuation.build(k, prices, rng.nextLong())
+      check(v, k, s"level-wise seed=$s")
+      check(UtilityModel(v, prices, NoiseSpec.uniform(k, 1.0)).sampleUtilityTable(rng), k, s"level-wise world seed=$s")
+      check(Array.tabulate(1 << k)(m => if (m == 0) 0.0 else (rng.nextInt(7) - 3).toDouble), k, s"rough seed=$s")
+    }
+    val ps4 = repro.core.Configs.realPs4.model
+    val rng = new SplittableRandom(3)
+    for (w <- 0 until 10) check(ps4.sampleUtilityTable(rng), 5, s"PS4 world $w")
+    check(ps4.valuation, 5, "PS4 valuation")
+    assert(yes >= 200 && no >= 60, s"supermodular $yes, not $no")
+  }
+
   test("SetFunctions.isMonotone detects a violation") {
     val f = Array(0.0, 1.0, 2.0, 1.5) // f({1,2}) < f({2})
     assert(!SetFunctions.isMonotone(f))
