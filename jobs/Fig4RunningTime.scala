@@ -3,7 +3,6 @@ package repro.jobs
 import org.apache.spark.sql.SparkSession
 
 import repro.core.Configs
-import repro.exp.Experiments
 import repro.exp.Experiments._
 import repro.graph.SocialGraph
 
@@ -32,29 +31,23 @@ object Fig4RunningTime {
     * greedyWM.
     */
   def run(spark: SparkSession,
-          graphs: Seq[SocialGraph] = Experiments.networkNames.map(Experiments.network),
+          graphs: Seq[SocialGraph] = networkNames.map(network),
           budget: Int = 50): Table = {
     val cfg = Configs.config1
     val budgets = Configs.uniformTwoItem(budget)
-    // JIT warm-up so the first measured cell is not dominated by classloading
-    Experiments.allocate(AlgoGreedyWM, spark, graphs.head, cfg, budgets)
     val cells = graphs.map { g =>
-      g.name -> twoItemAlgos.map {
-        case a @ (AlgoRRSimPlus | AlgoRRCim) if g.name == "Twitter" =>
-          a -> None // paper: timed out after 6 hours
-        case a =>
-          a -> Some(timed(Experiments.allocate(a, spark, g, cfg, budgets))._2)
-      }.toMap
+      val algos = if (g.name == "Twitter") twoItemAlgos.filterNot(Set(AlgoRRSimPlus, AlgoRRCim)) else twoItemAlgos
+      g.name -> algos.zip(allocations(spark, g, algos.map(a => (a, cfg, budgets))).map(_._2)).toMap
     }
     val failed = unmet(cells.collect { case (name, t) if name != "Twitter" =>
-      val comicSlowest = math.max(t(AlgoRRSimPlus).get, t(AlgoRRCim).get)
-      (comicSlowest > t(AlgoGreedyWM).get) ->
-        s"$name: Com-IC baselines ($comicSlowest ms) should be slower than greedyWM (${t(AlgoGreedyWM).get} ms)"
+      val comicSlowest = math.max(t(AlgoRRSimPlus), t(AlgoRRCim))
+      (comicSlowest > t(AlgoGreedyWM)) ->
+        s"$name: Com-IC baselines ($comicSlowest ms) should be slower than greedyWM (${t(AlgoGreedyWM)} ms)"
     })
     Table(s"Fig 4: allocation time (ms), Configuration 1, budgets ${budgets.mkString("/")}",
       Seq("network") ++ twoItemAlgos,
       cells.map { case (name, t) =>
-        Seq[Any](name) ++ twoItemAlgos.map(a => t(a).fold("timeout (paper >6h)")(ms => s"$ms ms"))
+        Seq[Any](name) ++ twoItemAlgos.map(a => t.get(a).fold("timeout (paper >6h)")(ms => s"$ms ms"))
       }, failed)
   }
 }

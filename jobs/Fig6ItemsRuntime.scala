@@ -3,7 +3,6 @@ package repro.jobs
 import org.apache.spark.sql.SparkSession
 
 import repro.core.Configs
-import repro.exp.Experiments
 import repro.exp.Experiments._
 import repro.graph.SocialGraph
 
@@ -20,7 +19,7 @@ import repro.graph.SocialGraph
 object Fig6ItemsRuntime {
   def main(args: Array[String]): Unit = {
     val spark = JobSession.create("Fig6ItemsRuntime")
-    val g = Experiments.network(args.headOption.getOrElse("Twitter"))
+    val g = network(args.headOption.getOrElse("Twitter"))
     val k = if (args.length > 1) args(1).toInt else 50
     run(spark, g, k).show()
     spark.stop()
@@ -31,11 +30,9 @@ object Fig6ItemsRuntime {
     * 4x its time at the smallest s (or 4 x 500 ms).
     */
   def run(spark: SparkSession, g: SocialGraph, k: Int = 50, items: Seq[Int] = 1 to 10): Table = {
-    // JIT warm-up so the first measured cell is not dominated by classloading
-    Experiments.allocate(AlgoGreedyWM, spark, g, Configs.config7(1), Array(k))
-    val cells = items.map { s =>
-      s -> multiItemAlgos.map(a => a -> timed(Experiments.allocate(a, spark, g, Configs.config7(s), Array.fill(s)(k)))._2).toMap
-    }
+    val ms = allocations(spark, g,
+      for (s <- items; a <- multiItemAlgos) yield (a, Configs.config7(s), Array.fill(s)(k))).map(_._2)
+    val cells = items.zip(ms.grouped(multiItemAlgos.length)).map { case (s, t) => s -> multiItemAlgos.zip(t).toMap }
     val (first, last) = (cells.head._2, cells.last._2)
     val (g1, gs) = (first(AlgoGreedyWM), last(AlgoGreedyWM))
     val failed = unmet(Seq(

@@ -3,7 +3,6 @@ package repro.jobs
 import org.apache.spark.sql.SparkSession
 
 import repro.core.Configs
-import repro.exp.Experiments
 import repro.exp.Experiments._
 import repro.graph.SocialGraph
 
@@ -20,7 +19,7 @@ import repro.graph.SocialGraph
 object Fig7RealParams {
   def main(args: Array[String]): Unit = {
     val spark = JobSession.create("Fig7RealParams")
-    run(spark, Experiments.network(args.headOption.getOrElse("Douban-Movie"))).show()
+    run(spark, network(args.headOption.getOrElse("Douban-Movie"))).show()
     spark.stop()
   }
 
@@ -31,16 +30,14 @@ object Fig7RealParams {
   def run(spark: SparkSession, g: SocialGraph, totals: Seq[Int] = Seq(100, 200, 300, 400, 500),
           runs: Int = mcRuns): Table = {
     val cfg = Configs.realPs4
-    // JIT warm-up so the first measured cell is not dominated by classloading
-    Experiments.allocate(AlgoGreedyWM, spark, g, cfg, Configs.realSplit(100))
     val algos = Seq(AlgoGreedyWM, AlgoBundleDisj)
-    val results = Experiments.welfare(spark, g,
+    val results = welfare(spark, g,
       for (t <- totals; a <- algos) yield (a, cfg, Configs.realSplit(t)), runs)
     val cells = totals.zip(results.grouped(algos.length)).map {
       case (t, Seq((gw, gwMs), (bd, bdMs))) => (t, gw.welfare, bd.welfare, gwMs, bdMs)
     }
     val (_, gwMax, bdMax, _, _) = cells.last
-    val itemDisj = Experiments.welfare(spark, g, Seq((AlgoItemDisj, cfg, Configs.realSplit(200))), runs = 8).head._1.welfare
+    val itemDisj = welfare(spark, g, Seq((AlgoItemDisj, cfg, Configs.realSplit(200))), runs = 8).head._1.welfare
     val failed = unmet(cells.map { case (t, gw, bd, _, _) =>
       (gw >= bd * 0.95) -> s"total $t: greedyWM $gw below bundle-disj $bd"
     } ++ Seq(

@@ -3,7 +3,6 @@ package repro.jobs
 import org.apache.spark.sql.SparkSession
 
 import repro.core.Configs
-import repro.exp.Experiments
 import repro.exp.Experiments._
 import repro.graph.SocialGraph
 
@@ -21,7 +20,7 @@ import repro.graph.SocialGraph
 object Fig8Skew {
   def main(args: Array[String]): Unit = {
     val spark = JobSession.create("Fig8Skew")
-    run(spark, Experiments.network(args.headOption.getOrElse("Douban-Movie"))).show()
+    run(spark, network(args.headOption.getOrElse("Douban-Movie"))).show()
     spark.stop()
   }
 
@@ -32,9 +31,7 @@ object Fig8Skew {
   def run(spark: SparkSession, g: SocialGraph,
           splits: Seq[(String, Array[Int])] = Configs.skewDistributions, runs: Int = mcRuns): Table = {
     val cfg = Configs.config7(10)
-    // JIT warm-up so the first measured cell is not dominated by classloading
-    Experiments.allocate(AlgoGreedyWM, spark, g, cfg, Array.fill(10)(10))
-    val results = Experiments.welfare(spark, g, splits.map { case (_, b) => (AlgoGreedyWM, cfg, b) }, runs)
+    val results = welfare(spark, g, splits.map { case (_, b) => (AlgoGreedyWM, cfg, b) }, runs)
     val cells = splits.zip(results).map { case ((name, budgets), (est, millis)) => (name, budgets, est.welfare, millis) }
     val ((firstName, _, _, firstMs), (lastName, _, _, lastMs)) = (cells.head, cells.last)
     val failed = unmet(cells.zip(cells.tail).map { case ((a, _, wa, _), (b, _, wb, _)) =>

@@ -27,7 +27,9 @@ object Experiments {
   val mcRuns: Int = 40
 
   /** RR-set cap for the Com-IC baselines (most of their RR sets are empty,
-    * so they draw many more than IMM does).
+    * so they draw many more than IMM does). The jobs and `bench/test` use
+    * the 120,000 default; the benchmark (`perfbench/run.py`) pins 20,000 to
+    * keep its fig4 workload inside its time budget.
     */
   def comicMaxRR: Int = sys.env.getOrElse("REPRO_COMIC_MAX_RR", "120000").toInt
 
@@ -62,24 +64,38 @@ object Experiments {
     })
 
   /** `body`'s result and its wall time in ms. */
-  def timed[A](body: => A): (A, Long) = {
+  private def timed[A](body: => A): (A, Long) = {
     val t0 = System.nanoTime()
     (body, (System.nanoTime() - t0) / 1000000)
   }
 
-  /** One figure's welfare step: each `(algo, cfg, budgets)` cell's welfare
-    * over `runs` worlds from seed 218, and the ms of the seed-7 allocation
-    * that served it, made once per distinct [[allocationKey]] in this call.
+  private val warmed = java.util.concurrent.ConcurrentHashMap.newKeySet[String]()
+
+  /** One figure's allocation step: each `(algo, cfg, budgets)` cell's seed-7
+    * allocation and its wall time in ms, made once per distinct
+    * [[allocationKey]] in this call. An algorithm's first allocation in the
+    * JVM runs once untimed before it, so no cell times class loading or JIT
+    * compilation; JIT state is per JVM, and `warmed` holds only names.
     */
-  def welfare(spark: SparkSession, g: SocialGraph, cells: Seq[(String, Configs.Config, Array[Int])],
-              runs: Int): Seq[(Welfare.Estimate, Long)] = {
+  def allocations(spark: SparkSession, g: SocialGraph,
+                  cells: Seq[(String, Configs.Config, Array[Int])]): Seq[(Allocation.Alloc, Long)] = {
     val allocs = scala.collection.mutable.Map.empty[(String, Seq[Int], Any), (Allocation.Alloc, Long)]
     cells.map { case (algo, cfg, budgets) =>
-      val (alloc, millis) =
-        allocs.getOrElseUpdate(allocationKey(algo, cfg, budgets), timed(allocate(algo, spark, g, cfg, budgets)))
-      (Welfare.estimate(spark, g, alloc, cfg.model, runs, seed = 218), millis)
+      allocs.getOrElseUpdate(allocationKey(algo, cfg, budgets), {
+        if (!warmed.contains(algo)) { allocate(algo, spark, g, cfg, budgets); warmed.add(algo) }
+        timed(allocate(algo, spark, g, cfg, budgets))
+      })
     }
   }
+
+  /** One figure's welfare step: each cell's welfare over `runs` worlds from
+    * seed 218 under its [[allocations]] allocation, with that allocation's ms.
+    */
+  def welfare(spark: SparkSession, g: SocialGraph, cells: Seq[(String, Configs.Config, Array[Int])],
+              runs: Int): Seq[(Welfare.Estimate, Long)] =
+    cells.zip(allocations(spark, g, cells)).map { case ((_, cfg, _), (alloc, millis)) =>
+      (Welfare.estimate(spark, g, alloc, cfg.model, runs, seed = 218), millis)
+    }
 
   /** Each table's `(label, cfg, budgets)` rows as labels with their welfare
     * per algorithm of `algos`, from one [[welfare]] step over all tables.

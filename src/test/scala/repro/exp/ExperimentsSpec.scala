@@ -21,10 +21,8 @@ class ExperimentsSpec extends AnyFunSuite with SparkSpec {
     val cfg = Configs.config1
     val budgets = Array(4, 4)
     for (algo <- Experiments.twoItemAlgos) {
-      val (alloc, millis) = Experiments.timed(Experiments.allocate(algo, spark, g, cfg, budgets, seed = 2))
-      val welfare = Welfare.estimate(spark, g, alloc, cfg.model, 4, seed = 2 * 31 + 1).welfare
+      val welfare = welfareOf(algo, cfg, budgets, runs = 4, s = 2)
       assert(welfare >= -1e-9, s"$algo produced negative welfare $welfare")
-      assert(millis >= 0)
     }
   }
 
@@ -61,15 +59,24 @@ class ExperimentsSpec extends AnyFunSuite with SparkSpec {
   private val twoItemConfigs = Seq(Configs.config1, Configs.config3, Configs.config5)
   private val multiItemConfigs = Seq(Configs.config7(3), Configs.config10(3))
   private val (twoItemBudgets, multiItemBudgets) = (Array(4, 4), Configs.uniformSplit(3, 10))
+  private val cells =
+    (for (cfg <- twoItemConfigs; a <- Experiments.twoItemAlgos) yield (a, cfg, twoItemBudgets)) ++
+      (for (cfg <- multiItemConfigs; a <- Experiments.multiItemAlgos) yield (a, cfg, multiItemBudgets))
 
   test("the welfare step equals per-cell allocation plus a seed-218 estimate") {
-    val cells =
-      (for (cfg <- twoItemConfigs; a <- Experiments.twoItemAlgos) yield (a, cfg, twoItemBudgets)) ++
-        (for (cfg <- multiItemConfigs; a <- Experiments.multiItemAlgos) yield (a, cfg, multiItemBudgets))
     val perCell = cells.map { case (a, cfg, b) =>
       Welfare.estimate(spark, g, Experiments.allocate(a, spark, g, cfg, b), cfg.model, 4, seed = 218).welfare
     }
     assert(Experiments.welfare(spark, g, cells, runs = 4).map(_._1.welfare) == perCell)
+  }
+
+  test("the allocation step gives each cell allocate's allocation, one instance per allocationKey, with its ms") {
+    val step = Experiments.allocations(spark, g, cells)
+    assert(step.map(_._1) == cells.map { case (a, cfg, b) => Experiments.allocate(a, spark, g, cfg, b) })
+    val byKey = cells.zip(step.map(_._1)).groupMap { case ((a, cfg, b), _) => Experiments.allocationKey(a, cfg, b) }(_._2)
+    assert(byKey.size < cells.size)
+    for (allocs <- byKey.values) assert(allocs.forall(_ eq allocs.head))
+    assert(step.forall(_._2 >= 0))
   }
 
   test("greedyWM and item-disj share one allocation across configurations, the other algorithms one per configuration") {
