@@ -19,12 +19,10 @@ import repro.graph.SocialGraph
   * Defaults: Douban-Movie, configs 2 3 5 6 (the ones shown in Fig. 3).
   */
 object Fig3TwoItemWelfare {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.create("Fig3TwoItemWelfare")
+  def main(args: Array[String]): Unit = JobSession.run("Fig3TwoItemWelfare") { spark =>
     val network = args.headOption.getOrElse("Douban-Movie")
     val configNos = if (args.length > 1) args.tail.map(_.toInt).toSeq else Seq(2, 3, 5, 6)
     run(spark, Experiments.network(network), configNos).foreach(_.show())
-    spark.stop()
   }
 
   /** §6.2's budget sweeps: uniform k in 10..50, non-uniform b2 in 30..110

@@ -20,11 +20,8 @@ import repro.graph.SocialGraph
   * Usage: `Fig4RunningTime [budget]` (default 50/50).
   */
 object Fig4RunningTime {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.create("Fig4RunningTime")
-    run(spark, budget = args.headOption.map(_.toInt).getOrElse(50)).show()
-    spark.stop()
-  }
+  def main(args: Array[String]): Unit =
+    JobSession.run("Fig4RunningTime")(spark => run(spark, budget = args.headOption.map(_.toInt).getOrElse(50)).show())
 
   /** Allocation time per network at budgets `budget`/`budget`. Gate: on
     * every network but Twitter, the slower Com-IC baseline is slower than
@@ -37,7 +34,7 @@ object Fig4RunningTime {
     val budgets = Configs.uniformTwoItem(budget)
     val cells = graphs.map { g =>
       val algos = if (g.name == "Twitter") twoItemAlgos.filterNot(Set(AlgoRRSimPlus, AlgoRRCim)) else twoItemAlgos
-      g.name -> algos.zip(allocations(spark, g, algos.map(a => (a, cfg, budgets))).map(_._2)).toMap
+      g.name -> algos.zip(allocations(spark, g, algos.map(a => (a, cfg, budgets)))((_, _) => ()).map(_._2)).toMap
     }
     val failed = unmet(cells.collect { case (name, t) if name != "Twitter" =>
       val comicSlowest = math.max(t(AlgoRRSimPlus), t(AlgoRRCim))

@@ -18,12 +18,10 @@ import repro.graph.SocialGraph
   * Douban-Movie, 10 items).
   */
 object Fig5MultiItemWelfare {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.create("Fig5MultiItemWelfare")
+  def main(args: Array[String]): Unit = JobSession.run("Fig5MultiItemWelfare") { spark =>
     val network = args.headOption.getOrElse("Douban-Movie")
     val k = if (args.length > 1) args(1).toInt else 10
     run(spark, Experiments.network(network), Seq(7, 8, 9, 10), k).foreach(_.show())
-    spark.stop()
   }
 
   /** The paper's total-budget sweep. */

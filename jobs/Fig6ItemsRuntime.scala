@@ -17,12 +17,10 @@ import repro.graph.SocialGraph
   * Usage: `Fig6ItemsRuntime [network] [k]`.
   */
 object Fig6ItemsRuntime {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.create("Fig6ItemsRuntime")
+  def main(args: Array[String]): Unit = JobSession.run("Fig6ItemsRuntime") { spark =>
     val g = network(args.headOption.getOrElse("Twitter"))
     val k = if (args.length > 1) args(1).toInt else 50
     run(spark, g, k).show()
-    spark.stop()
   }
 
   /** Allocation time per item count of `items`. Gates at the largest s
@@ -31,7 +29,7 @@ object Fig6ItemsRuntime {
     */
   def run(spark: SparkSession, g: SocialGraph, k: Int = 50, items: Seq[Int] = 1 to 10): Table = {
     val ms = allocations(spark, g,
-      for (s <- items; a <- multiItemAlgos) yield (a, Configs.config7(s), Array.fill(s)(k))).map(_._2)
+      for (s <- items; a <- multiItemAlgos) yield (a, Configs.config7(s), Array.fill(s)(k)))((_, _) => ()).map(_._2)
     val cells = items.zip(ms.grouped(multiItemAlgos.length)).map { case (s, t) => s -> multiItemAlgos.zip(t).toMap }
     val (first, last) = (cells.head._2, cells.last._2)
     val (g1, gs) = (first(AlgoGreedyWM), last(AlgoGreedyWM))

@@ -17,11 +17,8 @@ import repro.graph.SocialGraph
   * Usage: `Fig7RealParams [network]` (default Douban-Movie).
   */
 object Fig7RealParams {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.create("Fig7RealParams")
-    run(spark, network(args.headOption.getOrElse("Douban-Movie"))).show()
-    spark.stop()
-  }
+  def main(args: Array[String]): Unit =
+    JobSession.run("Fig7RealParams")(spark => run(spark, network(args.headOption.getOrElse("Douban-Movie"))).show())
 
   /** Welfare and time per total budget of `totals`. Gates: greedyWM at
     * least 0.95 of bundle-disj at every total and above it at the last;

@@ -18,11 +18,8 @@ import repro.graph.SocialGraph
   * the appendix variant uses Twitter).
   */
 object Fig8Skew {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.create("Fig8Skew")
-    run(spark, network(args.headOption.getOrElse("Douban-Movie"))).show()
-    spark.stop()
-  }
+  def main(args: Array[String]): Unit =
+    JobSession.run("Fig8Skew")(spark => run(spark, network(args.headOption.getOrElse("Douban-Movie"))).show())
 
   /** greedyWM's welfare and time per named 10-item split, ordered from the
     * least to the most skewed. Gates: each split's welfare at least 0.98 of

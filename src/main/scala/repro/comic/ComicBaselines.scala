@@ -110,25 +110,27 @@ object ComicBaselines {
     }
   }
 
+  /** Both baselines' stages: IMM from `seed` for the item held fixed, then
+    * IMM from `seed + 1` over `sampler` of its seeds, capped at `maxRR`.
+    * Returns (fixed seeds, chosen seeds).
+    */
+  private def twoStage(spark: SparkSession, g: SocialGraph, fixedBudget: Int, budget: Int, seed: Long,
+                       maxRR: Int)(sampler: Array[Int] => RRSampler): (Array[Int], Array[Int]) = {
+    val fixed = PRIMM.imm(spark, g, fixedBudget, seed = seed).seeds
+    (fixed, PRIMM.imm(spark, g, budget, seed = seed + 1, sampler = Some(sampler(fixed)), maxRR = maxRR).seeds)
+  }
+
   /** RR-SIM+: seeds of B via IMM, then seeds of A maximising A-adoption
     * given B. Returns (seedsA, seedsB).
     */
   def rrSimPlus(spark: SparkSession, g: SocialGraph, budgetA: Int, budgetB: Int,
-                gap: Gap, seed: Long = 7, maxRR: Int): (Array[Int], Array[Int]) = {
-    val seedsB = PRIMM.imm(spark, g, budgetB, seed = seed).seeds
-    val sampler = new RRSimSampler(g, seedsB, gap)
-    val seedsA = PRIMM.imm(spark, g, budgetA, seed = seed + 1, sampler = Some(sampler), maxRR = maxRR).seeds
-    (seedsA, seedsB)
-  }
+                gap: Gap, seed: Long = 7, maxRR: Int): (Array[Int], Array[Int]) =
+    twoStage(spark, g, budgetB, budgetA, seed, maxRR)(new RRSimSampler(g, _, gap)).swap
 
   /** RR-CIM: seeds of A via IMM, then seeds of B maximising A-adoption.
     * Returns (seedsA, seedsB).
     */
   def rrCim(spark: SparkSession, g: SocialGraph, budgetA: Int, budgetB: Int,
-            gap: Gap, seed: Long = 7, maxRR: Int): (Array[Int], Array[Int]) = {
-    val seedsA = PRIMM.imm(spark, g, budgetA, seed = seed).seeds
-    val sampler = new RRCimSampler(g, seedsA, gap)
-    val seedsB = PRIMM.imm(spark, g, budgetB, seed = seed + 1, sampler = Some(sampler), maxRR = maxRR).seeds
-    (seedsA, seedsB)
-  }
+            gap: Gap, seed: Long = 7, maxRR: Int): (Array[Int], Array[Int]) =
+    twoStage(spark, g, budgetA, budgetB, seed, maxRR)(new RRCimSampler(g, _, gap))
 }

@@ -19,8 +19,4 @@ object Allocation {
   /** Seed nodes of item `i` in the allocation. */
   def seedsOfItem(alloc: Alloc, i: Int): Set[Int] =
     alloc.collect { case (v, mask) if (mask & (1 << i)) != 0 => v }.toSet
-
-  /** Check the budget constraint `|S_i| <= b_i` for every item. */
-  def respectsBudgets(alloc: Alloc, budgets: Array[Int]): Boolean =
-    budgets.indices.forall(i => seedsOfItem(alloc, i).size <= budgets(i))
 }

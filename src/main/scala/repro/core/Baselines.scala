@@ -45,6 +45,14 @@ object Baselines {
     var immCalls = 0L
     val order = Blocks.itemOrder(budgets)
 
+    // `b` fresh seeds: IMM from the next seed, with every used node forbidden.
+    def freshSeeds(b: Int): Array[Int] = {
+      val seeds = PRIMM.imm(spark, g, b, seed = seed + immCalls, forbidden = used).seeds
+      immCalls += 1
+      used ++= seeds
+      seeds
+    }
+
     def nextBundle(): Option[Int] = {
       val active = (0 until k).filter(remaining(_) > 0)
       if (active.isEmpty) return None
@@ -63,10 +71,8 @@ object Baselines {
         case Some(bundle) =>
           val items = Itemsets.items(bundle)
           val bB = items.map(remaining).min
-          val seeds = PRIMM.imm(spark, g, bB, seed = seed + immCalls, forbidden = used).seeds
-          immCalls += 1
+          val seeds = freshSeeds(bB)
           bundles :+= (bundle, seeds)
-          used ++= seeds
           for (i <- items) { perItem(i) ++= seeds; remaining(i) -= bB }
       }
     }
@@ -81,10 +87,7 @@ object Baselines {
         remaining(i) -= take.length
       }
       if (remaining(i) > 0) {
-        val fresh = PRIMM.imm(spark, g, remaining(i), seed = seed + immCalls, forbidden = used).seeds
-        immCalls += 1
-        used ++= fresh
-        perItem(i) ++= fresh
+        perItem(i) ++= freshSeeds(remaining(i))
         remaining(i) = 0
       }
     }

@@ -30,14 +30,18 @@ object EpicSimulator {
     val adoption = new Array[Int](g.n)
     val coins = new Traversal.EdgeCoins(g, testEdge)
     val adopt = Adoption.inWorld(util)
+    // A node re-runs the adoption rule on its desire set; true iff it grew.
+    val settle: Int => Boolean = { v =>
+      val a = adopt(desire(v), adoption(v))
+      a != adoption(v) && { adoption(v) = a; true }
+    }
 
-    // t = 1: seeds desire their allocation and adopt the best subset.
+    // t = 1: seeds desire their allocation and settle.
     val seeds = new Array[Int](alloc.size)
     var nSeeds = 0
     for ((v, mask) <- alloc if mask != 0) {
       desire(v) |= mask
-      val a = adopt(desire(v), 0)
-      if (a != adoption(v)) { adoption(v) = a; seeds(nSeeds) = v; nSeeds += 1 }
+      if (settle(v)) { seeds(nSeeds) = v; nSeeds += 1 }
     }
 
     Traversal.sweep(g, java.util.Arrays.copyOf(seeds, nSeeds)) { (u, e) =>
@@ -46,10 +50,7 @@ object EpicSimulator {
         val aU = adoption(u)
         (aU & ~desire(v)) != 0 && { desire(v) |= aU; true }
       }
-    } { v =>
-      val a = adopt(desire(v), adoption(v))
-      a != adoption(v) && { adoption(v) = a; true }
-    }
+    }(settle)
     adoption
   }
 

@@ -69,33 +69,35 @@ object Experiments {
     (body, (System.nanoTime() - t0) / 1000000)
   }
 
-  private val warmed = java.util.concurrent.ConcurrentHashMap.newKeySet[String]()
+  private val warmed = java.util.concurrent.ConcurrentHashMap.newKeySet[(String, String)]()
 
-  /** One figure's allocation step: each `(algo, cfg, budgets)` cell's seed-7
-    * allocation and its wall time in ms, made once per distinct
-    * [[allocationKey]] in this call. An algorithm's first allocation in the
-    * JVM runs once untimed before it, so no cell times class loading or JIT
-    * compilation; JIT state is per JVM, and `warmed` holds only names.
+  /** One figure's allocation step: for each `(algo, cfg, budgets)` cell in
+    * order, `use(cfg, alloc)` of its seed-7 allocation, called as soon as the
+    * allocation exists, and the allocation's wall time in ms. Allocations are
+    * made once per distinct [[allocationKey]] in this call. An algorithm's
+    * first allocation on a network in the JVM runs once untimed before it, so
+    * no cell times class loading or JIT compilation; JIT state is per JVM,
+    * and `warmed` holds only names.
     */
-  def allocations(spark: SparkSession, g: SocialGraph,
-                  cells: Seq[(String, Configs.Config, Array[Int])]): Seq[(Allocation.Alloc, Long)] = {
+  def allocations[A](spark: SparkSession, g: SocialGraph, cells: Seq[(String, Configs.Config, Array[Int])])(
+      use: (Configs.Config, Allocation.Alloc) => A): Seq[(A, Long)] = {
     val allocs = scala.collection.mutable.Map.empty[(String, Seq[Int], Any), (Allocation.Alloc, Long)]
     cells.map { case (algo, cfg, budgets) =>
-      allocs.getOrElseUpdate(allocationKey(algo, cfg, budgets), {
-        if (!warmed.contains(algo)) { allocate(algo, spark, g, cfg, budgets); warmed.add(algo) }
+      val (alloc, millis) = allocs.getOrElseUpdate(allocationKey(algo, cfg, budgets), {
+        if (!warmed.contains((algo, g.name))) { allocate(algo, spark, g, cfg, budgets); warmed.add((algo, g.name)) }
         timed(allocate(algo, spark, g, cfg, budgets))
       })
+      (use(cfg, alloc), millis)
     }
   }
 
   /** One figure's welfare step: each cell's welfare over `runs` worlds from
-    * seed 218 under its [[allocations]] allocation, with that allocation's ms.
+    * seed 218 under its allocation, with that allocation's ms, from one
+    * [[allocations]] step.
     */
   def welfare(spark: SparkSession, g: SocialGraph, cells: Seq[(String, Configs.Config, Array[Int])],
               runs: Int): Seq[(Welfare.Estimate, Long)] =
-    cells.zip(allocations(spark, g, cells)).map { case ((_, cfg, _), (alloc, millis)) =>
-      (Welfare.estimate(spark, g, alloc, cfg.model, runs, seed = 218), millis)
-    }
+    allocations(spark, g, cells)((cfg, alloc) => Welfare.estimate(spark, g, alloc, cfg.model, runs, seed = 218))
 
   /** Each table's `(label, cfg, budgets)` rows as labels with their welfare
     * per algorithm of `algos`, from one [[welfare]] step over all tables.

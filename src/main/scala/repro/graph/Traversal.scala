@@ -1,8 +1,8 @@
 package repro.graph
 
-/** The two graph traversals every diffusion model shares: the reverse BFS
-  * behind all RR-set samplers (and the Com-IC samplers' adoption queries)
-  * and the forward frontier loop behind EPIC and Com-IC diffusion. Callers
+/** The two graph traversals the models share: the reverse BFS behind all
+  * RR-set samplers (and the Com-IC samplers' adoption queries) and the
+  * forward frontier loop behind EPIC diffusion. Callers
   * draw edge coins lazily from a live RNG inside the callbacks, so each
   * kernel's call order is part of its contract: changing it changes every
   * seeded result.

@@ -1,5 +1,7 @@
 package repro.items
 
+import SetFunctions.Tol
+
 /** The EPIC node-level adoption rule (Fig. 2, step 3, and §4.1).
   *
   * Given the utility table of the current possible world, a desire set `R`
@@ -12,8 +14,6 @@ package repro.items
   * supermodular, DESIGN.md §5.2).
   */
 object Adoption {
-
-  private val Tol = 1e-9
 
   /** Adopt from desire set `desire` given previous adoption `prev`.
     *

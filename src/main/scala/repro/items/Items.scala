@@ -11,8 +11,6 @@ object Itemsets {
   def items(mask: Int): Seq[Int] =
     (0 until 32).filter(i => (mask & (1 << i)) != 0)
 
-  def full(k: Int): Int = (1 << k) - 1
-
   /** All non-empty subsets of `mask`. */
   def nonEmptySubsets(mask: Int): Seq[Int] = {
     val out = scala.collection.mutable.ArrayBuffer.empty[Int]
@@ -137,21 +135,13 @@ final case class UtilityModel(valuation: Array[Double], prices: Array[Double], n
   require(noise.k == prices.length, "noise must have one std per item")
   def k: Int = prices.length
 
-  /** Utility table for a given noise world: `U(mask)` for every mask. */
+  /** Utility table for a given noise world: `U(mask) = V(mask)` plus the
+    * additive table of `noise(i) - price(i)`.
+    */
   def utilityTable(noiseSample: Array[Double]): Array[Double] = {
-    val nMasks = 1 << k
-    val out = new Array[Double](nMasks)
+    val out = Valuations.additive(Array.tabulate(k)(i => noiseSample(i) - prices(i)))
     var mask = 0
-    while (mask < nMasks) {
-      var pn = 0.0
-      var i = 0
-      while (i < k) {
-        if ((mask & (1 << i)) != 0) pn += noiseSample(i) - prices(i)
-        i += 1
-      }
-      out(mask) = valuation(mask) + pn
-      mask += 1
-    }
+    while (mask < out.length) { out(mask) += valuation(mask); mask += 1 }
     out
   }
 
@@ -181,10 +171,13 @@ object UtilityModel {
   * builders check valuations.
   */
 object SetFunctions {
+  /** The tolerance of every utility comparison here and in [[Adoption]]. */
+  private[items] final val Tol = 1e-9
+
   /** True iff `f` (as a dense table over `2^k` masks) is supermodular:
     * `f(S+i) - f(S) <= f(T+i) - f(T)` for all `S ⊆ T`, `i ∉ T`.
     */
-  def isSupermodular(f: Array[Double], tol: Double = 1e-9): Boolean = {
+  def isSupermodular(f: Array[Double]): Boolean = {
     val k = Integer.numberOfTrailingZeros(f.length)
     // Equivalent local criterion: for every pair i < j and every S without
     // them, f(S+i+j) - f(S+j) >= f(S+i) - f(S). Pair by pair, S walks the
@@ -199,7 +192,7 @@ object SetFunctions {
         var s = others
         var more = true
         while (more) {
-          if (f(s | bi | bj) - f(s | bj) < f(s | bi) - f(s) - tol) return false
+          if (f(s | bi | bj) - f(s | bj) < f(s | bi) - f(s) - Tol) return false
           more = s != 0
           s = (s - 1) & others
         }
@@ -211,13 +204,13 @@ object SetFunctions {
   }
 
   /** True iff `f` is monotone non-decreasing under set inclusion. */
-  def isMonotone(f: Array[Double], tol: Double = 1e-9): Boolean = {
+  def isMonotone(f: Array[Double]): Boolean = {
     val k = Integer.numberOfTrailingZeros(f.length)
     var s = 0
     while (s < f.length) {
       var i = 0
       while (i < k) {
-        if ((s & (1 << i)) == 0 && f(s | (1 << i)) < f(s) - tol) return false
+        if ((s & (1 << i)) == 0 && f(s | (1 << i)) < f(s) - Tol) return false
         i += 1
       }
       s += 1

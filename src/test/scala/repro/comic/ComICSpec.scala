@@ -6,7 +6,6 @@ import org.scalatest.funsuite.AnyFunSuite
 
 import repro.PropHelpers
 import repro.core.Configs
-import repro.graph.SocialGraph
 import repro.items.Adoption
 
 class ComICSpec extends AnyFunSuite with PropHelpers {
@@ -88,53 +87,5 @@ class ComICSpec extends AnyFunSuite with PropHelpers {
       intercept[IllegalArgumentException](Gap(q(0), q(1), q(2), q(3)))
     }
     assert(Gap(0.0, 1.0, 0.0, 1.0).qAB == 1.0)
-  }
-
-  // --- Com-IC diffusion simulator --------------------------------------
-
-  private val chain = SocialGraph.fromEdgesWithProb("chain", 3,
-    Array((0, 1, 1.0), (1, 2, 1.0)))
-
-  test("Com-IC: with q=1 everywhere, both items flood the chain") {
-    val gap = Gap(1.0, 1.0, 1.0, 1.0)
-    val (a, b) = ComicReference.simulate(chain, Set(0), Set(0), gap, new SplittableRandom(1))
-    assert(a.forall(identity) && b.forall(identity))
-  }
-
-  test("Com-IC: with q=0 nothing is adopted") {
-    val gap = Gap(0.0, 0.0, 0.0, 0.0)
-    val (a, b) = ComicReference.simulate(chain, Set(0), Set(0), gap, new SplittableRandom(1))
-    assert(!a.exists(identity) && !b.exists(identity))
-  }
-
-  test("Com-IC: non-adopters block propagation") {
-    // qA0 = 0 means node 0 never adopts A -> A never reaches node 1
-    val gap = Gap(0.0, 0.0, 1.0, 1.0)
-    val (a, b) = ComicReference.simulate(chain, Set(0), Set.empty, gap, new SplittableRandom(1))
-    assert(!a.exists(identity))
-    assert(!b.exists(identity)) // B was never seeded
-  }
-
-  test("Com-IC: reconsideration — B arriving later unlocks A") {
-    // A alone is never adopted (qA0=0) but q_{A|B}=1; B always adopted.
-    val gap = Gap(0.0, 1.0, 1.0, 1.0)
-    val (a, b) = ComicReference.simulate(chain, Set(0), Set(0), gap, new SplittableRandom(1))
-    assert(b.forall(identity))
-    assert(a.forall(identity), "B adoption must unlock A via reconsideration")
-  }
-
-  test("Com-IC adoption frequency on a single node matches the GAP") {
-    val single = SocialGraph.fromEdgesWithProb("one", 1, Array.empty[(Int, Int, Double)])
-    val gap = Gap(0.3, 0.9, 0.6, 0.8)
-    val rng = new SplittableRandom(8)
-    var aCount = 0; var bCount = 0
-    val runs = 20000
-    (0 until runs).foreach { _ =>
-      val (a, b) = ComicReference.simulate(single, Set(0), Set.empty, gap, rng)
-      if (a(0)) aCount += 1
-      if (b(0)) bCount += 1
-    }
-    assert(math.abs(aCount.toDouble / runs - 0.3) < 0.01)
-    assert(bCount == 0)
   }
 }

@@ -71,7 +71,7 @@ class ExperimentsSpec extends AnyFunSuite with SparkSpec {
   }
 
   test("the allocation step gives each cell allocate's allocation, one instance per allocationKey, with its ms") {
-    val step = Experiments.allocations(spark, g, cells)
+    val step = Experiments.allocations(spark, g, cells)((_, alloc) => alloc)
     assert(step.map(_._1) == cells.map { case (a, cfg, b) => Experiments.allocate(a, spark, g, cfg, b) })
     val byKey = cells.zip(step.map(_._1)).groupMap { case ((a, cfg, b), _) => Experiments.allocationKey(a, cfg, b) }(_._2)
     assert(byKey.size < cells.size)

@@ -16,11 +16,6 @@ class ItemsetsSpec extends AnyFunSuite with PropHelpers {
     assert(Itemsets.items(0) == Seq())
   }
 
-  test("full mask") {
-    assert(Itemsets.full(3) == 7)
-    assert(Itemsets.full(1) == 1)
-  }
-
   test("nonEmptySubsets enumerates 2^|S|-1 subsets") {
     val subs = Itemsets.nonEmptySubsets(0b111)
     assert(subs.toSet == Set(1, 2, 3, 4, 5, 6, 7))
