@@ -121,19 +121,36 @@ object MaxCover {
     }
   }
 
-  /** Number of RR sets hit by `seeds` (for `F_R(S) = covered / |R|`). */
-  def coverage(rr: collection.IndexedSeq[Array[Int]], seeds: Array[Int]): Int = {
-    val isSeed = new java.util.BitSet
-    seeds.foreach(isSeed.set)
-    var count = 0
+  /** Entry `j` is the number of RR sets hit by the first `j+1` seeds, from
+    * one scan: a set counts from the smallest pick rank among its members.
+    * Ids outside `[0, n)` hit nothing; members of `rr` lie in `[0, n)`.
+    */
+  def prefixCoverage(rr: collection.IndexedSeq[Array[Int]], seeds: Array[Int], n: Int): Array[Int] = {
+    val k = seeds.length
+    // rank(u) = u's first pick, or k for a node no seed names
+    val rank = new Array[Int](n)
+    java.util.Arrays.fill(rank, k)
+    var j = k - 1
+    while (j >= 0) { val u = seeds(j); if (u >= 0 && u < n) rank(u) = j; j -= 1 }
+    // firstHit(j) = sets first hit by seed j; firstHit(k) = sets no seed hits
+    val firstHit = new Array[Int](k + 1)
     var s = 0
     while (s < rr.length) {
       val set = rr(s)
-      var j = 0
-      while (j < set.length && !isSeed.get(set(j))) j += 1
-      if (j < set.length) count += 1
+      var first = k
+      var i = 0
+      while (i < set.length) { val r = rank(set(i)); if (r < first) first = r; i += 1 }
+      firstHit(first) += 1
       s += 1
     }
-    count
+    j = 1
+    while (j < k) { firstHit(j) += firstHit(j - 1); j += 1 }
+    java.util.Arrays.copyOf(firstHit, k)
   }
+
+  /** Number of RR sets hit by `seeds` (for `F_R(S) = covered / |R|`): the
+    * last entry of [[prefixCoverage]].
+    */
+  def coverage(rr: collection.IndexedSeq[Array[Int]], seeds: Array[Int], n: Int): Int =
+    if (seeds.isEmpty) 0 else prefixCoverage(rr, seeds, n).last
 }

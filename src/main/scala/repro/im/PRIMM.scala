@@ -76,18 +76,7 @@ object PRIMM {
       def generateUntil(target: Double): Unit =
         rr ++= draw(rr.length.toLong, math.ceil(math.min(target, maxRR.toDouble)).toLong - rr.length)
 
-      // Greedy picks do not depend on k, so one selection of bMax seeds per
-      // collection size answers every budget: its k-prefix and covered(k)
-      // are those of a selection of k seeds.
-      var selection: MaxCover.CoverResult = null
-      var selectedSize = -1
-      def select(): MaxCover.CoverResult = {
-        if (selectedSize != rr.length) {
-          selection = MaxCover.nodeSelection(rr, bMax, n, forbidden)
-          selectedSize = rr.length
-        }
-        selection
-      }
+      val selections = new Selections(rr, bMax, n, forbidden)
 
       var s = 0 // 0-based index into budgets
       var i = 1
@@ -101,9 +90,7 @@ object PRIMM {
 
         // Right after a budget switch, the previous selection's k-prefix is
         // evaluated on the grown collection instead of selecting anew.
-        val covK =
-          if (budgetSwitch) MaxCover.coverage(rr, selection.seeds.take(k))
-          else select().covered(k)
+        val covK = if (budgetSwitch) selections.lastCovered(k) else selections.select().covered(k)
         val frac = covK.toDouble / rr.length
         if (n * frac >= (1 + epsP) * x) {
           val lb = n * frac / (1 + epsP)
@@ -122,9 +109,47 @@ object PRIMM {
         generateUntil(lambdaStar(budgets(s)) / 1.0)
       }
 
-      val fin = select()
+      val fin = selections.select()
       val sigmaHat = fin.coveredAfter.map(c => n.toDouble * c / rr.length)
       Result(fin.seeds, rr.length, sigmaHat)
+    }
+  }
+
+  /** The greedy selections over one growing RR collection `rr`. Greedy
+    * picks do not depend on k, so one selection of `bMax` seeds per
+    * collection size answers every budget: its k-prefix and covered(k) are
+    * those of a selection of k seeds.
+    */
+  private[im] final class Selections(rr: collection.IndexedSeq[Array[Int]], bMax: Int, n: Int,
+                                     forbidden: Set[Int]) {
+    private var last: MaxCover.CoverResult = null
+    private var lastSize = -1
+    // last's prefix coverage over rr at regradedSize; regradedOf is the
+    // selection it was computed for, since select() at that size replaces it
+    private var regraded: MaxCover.CoverResult = null
+    private var regradedOf: MaxCover.CoverResult = null
+    private var regradedSize = -1
+
+    /** The selection over the collection as it is, made anew only once it has grown. */
+    def select(): MaxCover.CoverResult = {
+      if (lastSize != rr.length) {
+        last = MaxCover.nodeSelection(rr, bMax, n, forbidden)
+        lastSize = rr.length
+      }
+      last
+    }
+
+    /** RR sets of the collection as it is hit by the k-prefix of the last
+      * selection, which may be older than the collection. One scan gives
+      * every prefix, so later budgets at the same size read it for free.
+      */
+    def lastCovered(k: Int): Int = {
+      if (regradedSize != rr.length || (regradedOf ne last)) {
+        regraded = MaxCover.CoverResult(last.seeds, MaxCover.prefixCoverage(rr, last.seeds, n))
+        regradedOf = last
+        regradedSize = rr.length
+      }
+      regraded.covered(k)
     }
   }
 

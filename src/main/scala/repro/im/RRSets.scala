@@ -22,7 +22,7 @@ trait RRSampler extends Serializable {
   */
 final class ICRRSampler(g: SocialGraph) extends RRSampler {
   def sample(rng: SplittableRandom): Array[Int] =
-    Traversal.reverseReach(g, rng.nextInt(g.n))((e, w) => rng.nextDouble() < g.revP(e, w))
+    Traversal.reverseCoinReach(g, rng.nextInt(g.n), rng)
 }
 
 /** Batch generation of RR sets with per-sample seeds, and the home of the

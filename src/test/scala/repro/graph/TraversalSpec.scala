@@ -7,12 +7,14 @@ import org.scalatest.funsuite.AnyFunSuite
 
 import repro.im.RRSets
 
-/** `Traversal.reverseReach` and `Traversal.reverseReaches` keep their
-  * visited flags and queues, and `Traversal.sweep` its touched flags,
-  * frontier and touched list, in per-thread scratch arrays. These tests
-  * check that the scratch never leaks state between calls: across threads,
-  * across graphs of different sizes, after a callback throws, when a kernel
-  * is re-entered and when a query runs inside a walk's callback.
+/** `Traversal.reverseReach`, `Traversal.reverseCoinReach` and
+  * `Traversal.reverseReaches` keep their visited flags and queues, and
+  * `Traversal.sweep` its touched flags, frontier and touched list, in
+  * per-thread scratch arrays. These tests check that the scratch never
+  * leaks state between calls: across threads, across graphs of different
+  * sizes, after a callback throws, when a kernel is re-entered and when a
+  * query runs inside a walk's callback. They also check that
+  * `reverseCoinReach` is `reverseReach` with the IC coin, draw for draw.
   */
 class TraversalSpec extends AnyFunSuite {
 
@@ -23,6 +25,35 @@ class TraversalSpec extends AnyFunSuite {
   private def draw(g: SocialGraph, i: Int): Seq[Int] = {
     val rng = new SplittableRandom(RRSets.mix(19, i.toLong))
     Traversal.reverseReach(g, rng.nextInt(g.n))((e, w) => rng.nextDouble() < g.revP(e, w)).toSeq
+  }
+
+  /** RR set `i` of `g` as [[draw]] draws it, through `reverseCoinReach`
+    * when `coin` holds, with the RNG's next draw after the walk.
+    */
+  private def icWalk(g: SocialGraph, i: Int, coin: Boolean): (Seq[Int], Long) = {
+    val rng = new SplittableRandom(RRSets.mix(19, i.toLong))
+    val root = rng.nextInt(g.n)
+    val walk =
+      if (coin) Traversal.reverseCoinReach(g, root, rng)
+      else Traversal.reverseReach(g, root)((e, w) => rng.nextDouble() < g.revP(e, w))
+    (walk.toSeq, rng.nextLong())
+  }
+
+  private def coinDraw(g: SocialGraph, i: Int): (Seq[Int], Long) = icWalk(g, i, coin = true)
+
+  /** 400 nodes, explicit probabilities: a quarter of the arcs have p = 0,
+    * a twelfth p = 1 and the rest a random p below 0.25; 300 arcs appear
+    * twice with their own probabilities.
+    */
+  private lazy val explicit = {
+    val rng = new SplittableRandom(31)
+    val n = 400
+    val base = Array.fill(2400)((rng.nextInt(n), rng.nextInt(n)))
+    val arcs = base ++ base.take(300)
+    val probs = arcs.indices.map { i =>
+      if (i % 4 == 0) 0.0 else if (i % 12 == 1) 1.0 else 0.25 * rng.nextDouble()
+    }.toArray
+    SocialGraph.fromArcs("trav-explicit", n, arcs.map(_._1), arcs.map(_._2), Some(probs), undirected = false)
   }
 
   /** Live edges of query `i`: a quarter of all edges, fixed per query. */
@@ -121,6 +152,77 @@ class TraversalSpec extends AnyFunSuite {
       (0 until 50).map(draw(small, _))
     }
     assert(after == expected)
+  }
+
+  test("reverseCoinReach equals reverseReach with the IC coin under weighted cascade") {
+    val ids = 0 until 4000
+    val coin = ids.map(coinDraw(big, _))
+    assert(coin == ids.map(icWalk(big, _, coin = false)))
+    assert(coin.count(_._1.length > 20) > 100)
+  }
+
+  test("reverseCoinReach equals reverseReach with the IC coin under explicit probabilities") {
+    val g = explicit
+    assert(g.revProb.contains(0.0) && g.revProb.contains(1.0) && g.wcProb.isEmpty)
+    val ids = 0 until 4000
+    val coin = ids.map(coinDraw(g, _))
+    assert(coin == ids.map(icWalk(g, _, coin = false)))
+    assert(coin.count(_._1.length == 1) > 100 && coin.count(_._1.length > 20) > 100)
+  }
+
+  test("concurrent reverseCoinReach draws on graphs of three sizes equal serial reverseReach draws") {
+    val ids = 0 until 1500
+    val graphs = Seq(small, explicit, big)
+    val serial = onNewThread(ids.map(i => graphs.map(icWalk(_, i, coin = false))))
+    val pool = Executors.newFixedThreadPool(4)
+    try {
+      // each thread starts on the small graph, so its scratch grows twice
+      val parts = (0 until 4).map { t =>
+        pool.submit(new Callable[Seq[(Int, Seq[(Seq[Int], Long)])]] {
+          def call(): Seq[(Int, Seq[(Seq[Int], Long)])] =
+            ids.filter(_ % 4 == t).map(i => i -> graphs.map(coinDraw(_, i)))
+        })
+      }
+      assert(parts.flatMap(_.get()).sortBy(_._1).map(_._2) == serial)
+    } finally {
+      pool.shutdown()
+      pool.awaitTermination(10, TimeUnit.SECONDS)
+    }
+  }
+
+  test("reverseCoinReach sees clean scratch after a throwing reverseReach callback and is rejected inside one") {
+    val ids = 0 until 200
+    val expected = onNewThread(ids.map(i => (coinDraw(small, i), coinDraw(big, i))))
+    val after = onNewThread {
+      wellFed(big).take(100).foreach { root =>
+        var calls = 0
+        intercept[IllegalStateException] {
+          Traversal.reverseReach(big, root) { (_, _) =>
+            calls += 1
+            if (calls == 3) throw new IllegalStateException("boom")
+            true
+          }
+        }
+      }
+      intercept[IllegalArgumentException] {
+        Traversal.reverseReach(big, wellFed(big).head) { (_, _) =>
+          Traversal.reverseCoinReach(small, 1, new SplittableRandom(1)).nonEmpty
+        }
+      }
+      ids.map(i => (coinDraw(small, i), coinDraw(big, i)))
+    }
+    assert(after == expected)
+  }
+
+  test("a 53-bit draw is below p exactly when it is below the coin threshold") {
+    val rng = new SplittableRandom(43)
+    val ps = Seq(0.0, 1.0) ++ (2 to 3000).map(1.0 / _) ++ Seq.fill(3000)(rng.nextDouble())
+    ps.foreach { p =>
+      val t = Traversal.coinThreshold(p)
+      for (x <- Seq(t - 1, t) if x >= 0 && x < (1L << 53))
+        assert((math.scalb(x.toDouble, -53) < p) == (x < t), s"p=$p x=$x")
+    }
+    assert(Traversal.coinThreshold(0.0) == 0L && Traversal.coinThreshold(1.0) == (1L << 53))
   }
 
   test("reverseReaches answers whether reverseReach's walk meets the target") {

@@ -39,10 +39,42 @@ class MaxCoverSpec extends AnyFunSuite {
 
   test("coverage counts sets hit by the seed set") {
     val rr = IndexedSeq(Array(0, 1), Array(1, 2), Array(3), Array.empty[Int])
-    assert(MaxCover.coverage(rr, Array(1)) == 2)
-    assert(MaxCover.coverage(rr, Array(1, 3)) == 3)
-    assert(MaxCover.coverage(rr, Array.empty[Int]) == 0)
-    assert(MaxCover.coverage(rr, Array(3, 1000)) == 1) // ids no set contains
+    val n = 2000
+    assert(MaxCover.coverage(rr, Array(1), n) == 2)
+    assert(MaxCover.coverage(rr, Array(1, 3), n) == 3)
+    assert(MaxCover.coverage(rr, Array.empty[Int], n) == 0)
+    assert(MaxCover.coverage(rr, Array(3, 1000), n) == 1) // ids no set contains
+    assert(MaxCover.coverage(rr, Array(-1, 3, -7), n) == 1) // negative ids hit nothing
+    assert(MaxCover.coverage(rr, Array(3, n, n + 5), n) == 1) // as do ids from n on
+  }
+
+  test("prefix coverage of every prefix equals the coverage of that prefix on random collections") {
+    val rng = new SplittableRandom(41)
+    (0 until 200).foreach { trial =>
+      val n = 1 + rng.nextInt(40)
+      val m = if (trial % 10 == 0) 0 else rng.nextInt(80)
+      val rr = IndexedSeq.fill(m) {
+        if (rng.nextInt(6) == 0) Array.empty[Int]
+        else Array.fill(1 + rng.nextInt(math.min(n, 8)))(rng.nextInt(n)).distinct
+      }
+      // repeated seeds and ids outside [0, n) included
+      val seeds = Array.fill(rng.nextInt(n + 4))(rng.nextInt(n + 6) - 3)
+      val prefix = MaxCover.prefixCoverage(rr, seeds, n)
+      assert(prefix.length == seeds.length)
+      (1 to seeds.length).foreach { k =>
+        val want = rr.count(set => set.exists(v => seeds.take(k).contains(v)))
+        assert(prefix(k - 1) == want, s"trial $trial, k=$k")
+        assert(MaxCover.coverage(rr, seeds.take(k), n) == want, s"trial $trial, k=$k")
+      }
+    }
+  }
+
+  test("prefix coverage of a greedy selection equals its per-prefix coverage") {
+    val g = GraphGen.powerLawDirected("mc", 1500, 12000, seed = 3)
+    val sampler = new ICRRSampler(g)
+    val rr = (0 until 4000).map(i => sampler.sample(new SplittableRandom(RRSets.mix(5, i.toLong))))
+    val res = MaxCover.nodeSelection(rr, 300, g.n)
+    assert(MaxCover.prefixCoverage(rr, res.seeds, g.n).toSeq == res.coveredAfter.toSeq)
   }
 
   test("empty RR collection still returns k seeds with zero coverage") {
@@ -67,7 +99,7 @@ class MaxCoverSpec extends AnyFunSuite {
     // brute force over all 2-subsets
     val rr = IndexedSeq(Array(0, 1), Array(1, 2), Array(2, 3), Array(3, 0), Array(1, 3))
     val res = MaxCover.nodeSelection(rr, k = 2, n = 4)
-    val best = (0 until 4).combinations(2).map(c => MaxCover.coverage(rr, c.toArray)).max
+    val best = (0 until 4).combinations(2).map(c => MaxCover.coverage(rr, c.toArray, 4)).max
     assert(res.covered(2) == best)
   }
 
@@ -78,7 +110,7 @@ class MaxCoverSpec extends AnyFunSuite {
       val rr = IndexedSeq.fill(30)(Array.fill(1 + rng.nextInt(3))(rng.nextInt(n)).distinct)
       val k = 3
       val res = MaxCover.nodeSelection(rr, k, n)
-      val best = (0 until n).combinations(k).map(c => MaxCover.coverage(rr, c.toArray)).max
+      val best = (0 until n).combinations(k).map(c => MaxCover.coverage(rr, c.toArray, n)).max
       assert(res.covered(k) >= math.ceil((1 - 1.0 / math.E) * best) - 1e-9)
     }
   }

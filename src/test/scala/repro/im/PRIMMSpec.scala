@@ -1,5 +1,9 @@
 package repro.im
 
+import java.util.SplittableRandom
+
+import scala.collection.mutable.ArrayBuffer
+
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.SparkSpec
@@ -192,6 +196,28 @@ class PRIMMSpec extends AnyFunSuite with SparkSpec {
     // ids outside [0, n) do not count against the selectable nodes
     val res = PRIMM.imm(spark, g, 3, eps = 0.3, seed = 8, forbidden = (0 until 37).toSet ++ Set(-1, 40, 100))
     assert(res.seeds.sorted.toSeq == Seq(37, 38, 39))
+  }
+
+  test("the last selection's prefix coverage follows the collection's growth and each re-selection") {
+    val g = GraphGen.powerLawDirected("p", 400, 3000, seed = 11)
+    val sampler = new ICRRSampler(g)
+    def draw(i: Int): Array[Int] = sampler.sample(new SplittableRandom(RRSets.mix(3, i.toLong)))
+    val rr = ArrayBuffer.tabulate(100)(draw)
+    val selections = new PRIMM.Selections(rr, 8, g.n, Set.empty)
+    def regradedIs(sel: MaxCover.CoverResult): Unit =
+      (1 to 8).foreach(k => assert(selections.lastCovered(k) == MaxCover.coverage(rr, sel.seeds.take(k), g.n), s"k=$k"))
+
+    val first = selections.select()
+    rr ++= (100 until 2000).map(draw)
+    regradedIs(first)
+    // A re-selection at the size the cached coverage was computed at
+    // replaces the selection: the cache must not answer for the old one.
+    val second = selections.select()
+    assert((1 to 8).exists(k => second.covered(k) != MaxCover.coverage(rr, first.seeds.take(k), g.n)))
+    regradedIs(second)
+    (1 to 8).foreach(k => assert(selections.lastCovered(k) == second.covered(k)))
+    rr ++= (2000 until 3000).map(draw)
+    regradedIs(second)
   }
 
   test("one run draws exactly rrCount RR sets") {
