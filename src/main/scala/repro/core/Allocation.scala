@@ -1,5 +1,7 @@
 package repro.core
 
+import repro.items.UtilityModel
+
 /** A seed allocation `S ⊆ V × I` (§3.2), stored as node -> itemset mask. */
 object Allocation {
 
@@ -7,9 +9,12 @@ object Allocation {
 
   /** Build an allocation from per-item seed lists.
     *
-    * @param seedsPerItem `seedsPerItem(i)` = seed nodes of item `i`
+    * @param seedsPerItem `seedsPerItem(i)` = seed nodes of item `i`, for at
+    *                     most `UtilityModel.MaxItems` items
     */
   def fromItemSeeds(seedsPerItem: Seq[Array[Int]]): Alloc = {
+    require(seedsPerItem.length <= UtilityModel.MaxItems,
+      s"at most ${UtilityModel.MaxItems} items are supported, got ${seedsPerItem.length}")
     val m = scala.collection.mutable.Map.empty[Int, Int]
     for ((seeds, i) <- seedsPerItem.zipWithIndex; v <- seeds)
       m(v) = m.getOrElse(v, 0) | (1 << i)

@@ -2,12 +2,12 @@ package repro.graph
 
 import java.util.SplittableRandom
 
-/** The graph traversals the models share: the reverse BFS behind the
-  * Com-IC RR-set samplers and their adoption queries, its closure-free IC
-  * twin behind IC RR-set sampling, and the forward frontier loop behind
-  * EPIC diffusion. Edge coins are drawn lazily from a live RNG, inside the
-  * callbacks or the IC loop itself, so each kernel's draw order is part of
-  * its contract: changing it changes every seeded result.
+/** The reverse graph traversals the models share: the reverse BFS behind
+  * the Com-IC RR-set samplers and their adoption queries, and its
+  * closure-free IC twin behind IC RR-set sampling. Edge coins are drawn
+  * lazily from a live RNG, inside the callbacks or the IC loop itself, so
+  * each kernel's draw order is part of its contract: changing it changes
+  * every seeded result.
   */
 object Traversal {
 
@@ -153,88 +153,6 @@ object Traversal {
       var i = 0
       while (i < size) { seen(queue(i)) = false; i += 1 }
       s.busy = false
-    }
-  }
-
-  /** Per-thread working memory of one forward sweep, `n` entries each
-    * (grown when a larger graph comes): a touched flag per node (all false
-    * between calls), the frontier and the touched list.
-    */
-  private final class SweepScratch {
-    var inTouched = new Array[Boolean](0)
-    var front = new Array[Int](0)
-    var touched = new Array[Int](0)
-    var busy = false
-  }
-  private val sweepScratch = ThreadLocal.withInitial[SweepScratch](() => new SweepScratch)
-
-  /** Round-based forward propagation from `frontier`. Each round, every
-    * frontier node `u` (in frontier order) calls `relax(u, e)` on each
-    * out-edge `e` (in CSR order); a `true` touches `g.fwdDst(e)`. Then each
-    * touched node (once, in first-touch order) calls `settle(v)`, and the
-    * nodes for which it returns `true` form the next frontier.
-    *
-    * After the first round, which reads `frontier` itself, the sweep runs
-    * in per-thread scratch arrays, so concurrent calls on different threads
-    * are independent. The callbacks must not call `sweep`: a nested call on
-    * the same thread throws.
-    */
-  def sweep(g: SocialGraph, frontier: Array[Int])(relax: (Int, Int) => Boolean)(settle: Int => Boolean): Unit = {
-    val s = sweepScratch.get
-    require(!s.busy, "sweep re-entered from its callback")
-    if (s.inTouched.length < g.n) {
-      s.inTouched = new Array[Boolean](g.n); s.front = new Array[Int](g.n); s.touched = new Array[Int](g.n)
-    }
-    val inTouched = s.inTouched
-    val touched = s.touched
-    var front = frontier
-    var size = frontier.length
-    var nTouched = 0
-    s.busy = true
-    try {
-      while (size > 0) {
-        var i = 0
-        while (i < size) {
-          val u = front(i)
-          var e = g.fwdOff(u)
-          val end = g.fwdOff(u + 1)
-          while (e < end) {
-            if (relax(u, e)) {
-              val v = g.fwdDst(e)
-              if (!inTouched(v)) { inTouched(v) = true; touched(nTouched) = v; nTouched += 1 }
-            }
-            e += 1
-          }
-          i += 1
-        }
-        // The frontier has been read: the next one (a subset of the touched nodes) overwrites it.
-        front = s.front
-        size = 0
-        i = 0
-        while (i < nTouched) {
-          val v = touched(i)
-          inTouched(v) = false
-          if (settle(v)) { front(size) = v; size += 1 }
-          i += 1
-        }
-        nTouched = 0
-      }
-    } finally {
-      var i = 0
-      while (i < nTouched) { inTouched(touched(i)) = false; i += 1 }
-      s.busy = false
-    }
-  }
-
-  /** Edge coins flipped at most once: the first `live(e, u)` on edge `e`
-    * runs `flip(e, u)` and later calls replay its outcome (the diffusion
-    * models' "tested once, status remembered").
-    */
-  final class EdgeCoins(g: SocialGraph, flip: (Int, Int) => Boolean) {
-    private val state = new Array[Byte](g.fwdDst.length) // 0 untested, 1 live, 2 blocked
-    def live(e: Int, u: Int): Boolean = {
-      if (state(e) == 0) state(e) = if (flip(e, u)) 1 else 2
-      state(e) == 1
     }
   }
 }

@@ -147,10 +147,4 @@ object MaxCover {
     while (j < k) { firstHit(j) += firstHit(j - 1); j += 1 }
     java.util.Arrays.copyOf(firstHit, k)
   }
-
-  /** Number of RR sets hit by `seeds` (for `F_R(S) = covered / |R|`): the
-    * last entry of [[prefixCoverage]].
-    */
-  def coverage(rr: collection.IndexedSeq[Array[Int]], seeds: Array[Int], n: Int): Int =
-    if (seeds.isEmpty) 0 else prefixCoverage(rr, seeds, n).last
 }

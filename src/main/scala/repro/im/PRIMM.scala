@@ -90,7 +90,8 @@ object PRIMM {
 
         // Right after a budget switch, the previous selection's k-prefix is
         // evaluated on the grown collection instead of selecting anew.
-        val covK = if (budgetSwitch) selections.lastCovered(k) else selections.select().covered(k)
+        if (!budgetSwitch) selections.select()
+        val covK = selections.covered(k)
         val frac = covK.toDouble / rr.length
         if (n * frac >= (1 + epsP) * x) {
           val lb = n * frac / (1 + epsP)
@@ -122,34 +123,32 @@ object PRIMM {
     */
   private[im] final class Selections(rr: collection.IndexedSeq[Array[Int]], bMax: Int, n: Int,
                                      forbidden: Set[Int]) {
+    // The last selection, made over the first selectedAt RR sets; its
+    // coveredAfter counts the first countedAt.
     private var last: MaxCover.CoverResult = null
-    private var lastSize = -1
-    // last's prefix coverage over rr at regradedSize; regradedOf is the
-    // selection it was computed for, since select() at that size replaces it
-    private var regraded: MaxCover.CoverResult = null
-    private var regradedOf: MaxCover.CoverResult = null
-    private var regradedSize = -1
+    private var selectedAt = -1
+    private var countedAt = -1
 
     /** The selection over the collection as it is, made anew only once it has grown. */
     def select(): MaxCover.CoverResult = {
-      if (lastSize != rr.length) {
+      if (selectedAt != rr.length) {
         last = MaxCover.nodeSelection(rr, bMax, n, forbidden)
-        lastSize = rr.length
+        selectedAt = rr.length
+        countedAt = rr.length
       }
       last
     }
 
     /** RR sets of the collection as it is hit by the k-prefix of the last
-      * selection, which may be older than the collection. One scan gives
-      * every prefix, so later budgets at the same size read it for free.
+      * selection, which may be older than the collection. Once the
+      * collection has grown, one scan re-counts every prefix.
       */
-    def lastCovered(k: Int): Int = {
-      if (regradedSize != rr.length || (regradedOf ne last)) {
-        regraded = MaxCover.CoverResult(last.seeds, MaxCover.prefixCoverage(rr, last.seeds, n))
-        regradedOf = last
-        regradedSize = rr.length
+    def covered(k: Int): Int = {
+      if (countedAt != rr.length) {
+        last = MaxCover.CoverResult(last.seeds, MaxCover.prefixCoverage(rr, last.seeds, n))
+        countedAt = rr.length
       }
-      regraded.covered(k)
+      last.covered(k)
     }
   }
 

@@ -2,8 +2,9 @@ package repro.items
 
 import java.util.SplittableRandom
 
-/** Bitmask helpers for itemsets. Items are `0 until k` (k ≤ 20); an itemset
-  * is an `Int` mask with bit `i` set iff item `i` is in the set.
+/** Bitmask helpers for itemsets. Items are `0 until k`
+  * (k ≤ `UtilityModel.MaxItems`); an itemset is an `Int` mask with bit `i`
+  * set iff item `i` is in the set.
   */
 object Itemsets {
   def size(mask: Int): Int = Integer.bitCount(mask)
@@ -157,11 +158,16 @@ final case class UtilityModel(valuation: Array[Double], prices: Array[Double], n
 
 object UtilityModel {
 
-  /** `2^k`, after checking `0 <= k <= 20` (every kernel reads `2^k`-entry
-    * tables); builders call it before allocating a table.
+  /** The most items the system supports: every kernel reads `2^k`-entry
+    * tables, and allocations hold itemsets as `Int` masks.
+    */
+  final val MaxItems = 20
+
+  /** `2^k`, after checking `0 <= k <= MaxItems`; builders call it before
+    * allocating a table.
     */
   def tableSize(k: Int): Int = {
-    require(k >= 0 && k <= 20, s"at most 20 items are supported (utility tables have 2^k entries), got $k")
+    require(k >= 0 && k <= MaxItems, s"at most $MaxItems items are supported (utility tables have 2^k entries), got $k")
     1 << k
   }
 }

@@ -71,5 +71,9 @@ class GreedyWMSpec extends AnyFunSuite with SparkSpec {
     assert(alloc == Map(1 -> 1, 2 -> 3, 3 -> 2))
     assert(Allocation.seedsOfItem(alloc, 0) == Set(1, 2))
     assert(Allocation.seedsOfItem(alloc, 1) == Set(2, 3))
+    // masks are Ints and utility tables stop at 20 items: item 32 would land on item 0
+    val twenty = Allocation.fromItemSeeds(Seq.tabulate(20)(i => Array(i)))
+    assert(twenty == (0 until 20).map(i => i -> (1 << i)).toMap)
+    Seq(21, 33).foreach(k => intercept[IllegalArgumentException](Allocation.fromItemSeeds(Seq.tabulate(k)(i => Array(i)))))
   }
 }

@@ -5,6 +5,7 @@ import java.util.SplittableRandom
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.PropHelpers
+import repro.Threads.{onFourThreads, onNewThread}
 import repro.graph.{GraphGen, SocialGraph}
 import repro.im.RRSets
 import repro.items._
@@ -35,6 +36,26 @@ object Example1 {
 
 class EpicSimulatorSpec extends AnyFunSuite with PropHelpers {
   import Example1._
+
+  private lazy val big = GraphGen.powerLawDirected("epic-big", 2000, 16000, seed = 5)
+  private lazy val small = GraphGen.uniformDirected("epic-small", 60, 400, seed = 7)
+
+  /** One item worth 2 at price 1: every node a live edge reaches adopts it. */
+  private val oneItem = UtilityModel(Array(0.0, 2.0), Array(1.0), NoiseSpec.none(1)).deterministicUtility
+
+  /** Diffusion `i` of `g`: the one item seeded at three nodes drawn from
+    * sample id `i`, as the nodes that adopt it.
+    */
+  private def spread(g: SocialGraph, i: Int): Seq[Int] = {
+    val rng = new SplittableRandom(RRSets.mix(23, i.toLong))
+    val alloc = Array.fill(3)(rng.nextInt(g.n)).map(_ -> 1).toMap
+    val adoption = EpicSimulator.diffuse(g, alloc, oneItem, rng)
+    adoption.indices.filter(adoption(_) != 0)
+  }
+
+  /** Nodes with out-edges to at least three other nodes. */
+  private def spreading(g: SocialGraph): Seq[Int] =
+    (0 until g.n).filter(u => (g.fwdOff(u) until g.fwdOff(u + 1)).map(g.fwdDst).filter(_ != u).distinct.size >= 3)
 
   test("Example 1, greedy allocation: v3..v7 adopt all items, welfare 15") {
     val adoption = EpicSimulator.diffuse(g, greedyAlloc, util, new SplittableRandom(1))
@@ -139,5 +160,55 @@ class EpicSimulatorSpec extends AnyFunSuite with PropHelpers {
     val mean = xs.sum / xs.size
     assert(math.abs(mean - 0.5) < 0.02)
     assert(xs.forall(x => x >= 0.0 && x < 1.0))
+  }
+
+  test("concurrent diffusions on four threads equal serial diffusions") {
+    val ids = 0 until 2000
+    val serial = onNewThread(ids.map(spread(big, _)))
+    assert(onFourThreads(ids)(spread(big, _)) == serial)
+    assert(serial.count(_.length > 20) > 100)
+  }
+
+  test("diffusions interleaved on two graph sizes on one thread match") {
+    val ids = 0 until 500
+    val smallAlone = onNewThread(ids.map(spread(small, _)))
+    val bigAlone = onNewThread(ids.map(spread(big, _)))
+    // Small first, so the scratch has to grow for the big graph.
+    val interleaved = onNewThread(ids.map(i => (spread(small, i), spread(big, i))))
+    assert(interleaved.map(_._1) == smallAlone)
+    assert(interleaved.map(_._2) == bigAlone)
+    assert(bigAlone.count(_.length > 20) > 20)
+  }
+
+  test("an edge test that throws mid-round leaves the scratch clean") {
+    val ids = 0 until 300
+    val expected = onNewThread(ids.map(spread(big, _)))
+    val after = onNewThread {
+      spreading(big).take(100).foreach { seed =>
+        // the seed's first two out-edges are live and touch their heads; the third throws
+        var tested = 0
+        intercept[IllegalStateException] {
+          EpicSimulator.run(big, Map(seed -> 1), oneItem, { (_, _) =>
+            tested += 1
+            if (tested == 3) throw new IllegalStateException("boom")
+            true
+          })
+        }
+      }
+      ids.map(spread(big, _))
+    }
+    assert(after == expected)
+  }
+
+  test("starting a diffusion from inside the edge test is rejected") {
+    val expected = onNewThread((0 until 50).map(spread(small, _)))
+    val seed = spreading(big).head
+    val after = onNewThread {
+      intercept[IllegalArgumentException] {
+        EpicSimulator.run(big, Map(seed -> 1), oneItem, (_, _) => spread(small, 1).nonEmpty)
+      }
+      (0 until 50).map(spread(small, _))
+    }
+    assert(after == expected)
   }
 }

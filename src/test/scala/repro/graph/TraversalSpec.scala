@@ -1,15 +1,14 @@
 package repro.graph
 
 import java.util.SplittableRandom
-import java.util.concurrent.{Callable, Executors, TimeUnit}
 
 import org.scalatest.funsuite.AnyFunSuite
 
+import repro.Threads.{onFourThreads, onNewThread}
 import repro.im.RRSets
 
 /** `Traversal.reverseReach`, `Traversal.reverseCoinReach` and
-  * `Traversal.reverseReaches` keep their visited flags and queues, and
-  * `Traversal.sweep` its touched flags, frontier and touched list, in
+  * `Traversal.reverseReaches` keep their visited flags and queues in
   * per-thread scratch arrays. These tests check that the scratch never
   * leaks state between calls: across threads, across graphs of different
   * sizes, after a callback throws, when a kernel is re-entered and when a
@@ -64,53 +63,14 @@ class TraversalSpec extends AnyFunSuite {
   /** Query `i`: does a multiple of 40 reach node `i` over query `i`'s live edges? */
   private def query(g: SocialGraph, i: Int): Boolean = Traversal.reverseReaches(g, i % g.n)(queryLive(i))(queryTarget)
 
-  /** Sweep `i` of `g`: an IC cascade from three seeds drawn from sample id
-    * `i`, as the nodes of all its `settle` calls, in call order.
-    */
-  private def cascade(g: SocialGraph, i: Int): Seq[Int] = {
-    val rng = new SplittableRandom(RRSets.mix(23, i.toLong))
-    val active = new Array[Boolean](g.n)
-    val seeds = Array.fill(3)(rng.nextInt(g.n)).distinct
-    seeds.foreach(active(_) = true)
-    val settled = Array.newBuilder[Int]
-    Traversal.sweep(g, seeds)((_, e) => rng.nextDouble() < g.fwdP(e)) { v =>
-      settled += v
-      !active(v) && { active(v) = true; true }
-    }
-    settled.result().toSeq
-  }
-
-  /** Nodes with out-edges to at least three other nodes. */
-  private def spreading(g: SocialGraph): Seq[Int] =
-    (0 until g.n).filter(u => (g.fwdOff(u) until g.fwdOff(u + 1)).map(g.fwdDst).filter(_ != u).distinct.size >= 3)
-
   /** Nodes with in-edges from at least three other nodes. */
   private def wellFed(g: SocialGraph): Seq[Int] =
     (0 until g.n).filter(v => (g.revOff(v) until g.revOff(v + 1)).map(g.revSrc).filter(_ != v).distinct.size >= 3)
 
-  /** Run `f` on a new thread, which starts with fresh scratch. */
-  private def onNewThread[A](f: => A): A = {
-    val pool = Executors.newSingleThreadExecutor()
-    try pool.submit(new Callable[A] { def call(): A = f }).get()
-    finally pool.shutdown()
-  }
-
   test("concurrent draws on four threads equal serial draws") {
     val ids = 0 until 4000
     val serial = onNewThread(ids.map(draw(big, _)))
-    val pool = Executors.newFixedThreadPool(4)
-    try {
-      val parts = (0 until 4).map { t =>
-        pool.submit(new Callable[Seq[(Int, Seq[Int])]] {
-          def call(): Seq[(Int, Seq[Int])] = ids.filter(_ % 4 == t).map(i => i -> draw(big, i))
-        })
-      }
-      val concurrent = parts.flatMap(_.get()).sortBy(_._1).map(_._2)
-      assert(concurrent == serial)
-    } finally {
-      pool.shutdown()
-      pool.awaitTermination(10, TimeUnit.SECONDS)
-    }
+    assert(onFourThreads(ids)(draw(big, _)) == serial)
   }
 
   test("interleaving graphs of different sizes on one thread does not change results") {
@@ -174,20 +134,8 @@ class TraversalSpec extends AnyFunSuite {
     val ids = 0 until 1500
     val graphs = Seq(small, explicit, big)
     val serial = onNewThread(ids.map(i => graphs.map(icWalk(_, i, coin = false))))
-    val pool = Executors.newFixedThreadPool(4)
-    try {
-      // each thread starts on the small graph, so its scratch grows twice
-      val parts = (0 until 4).map { t =>
-        pool.submit(new Callable[Seq[(Int, Seq[(Seq[Int], Long)])]] {
-          def call(): Seq[(Int, Seq[(Seq[Int], Long)])] =
-            ids.filter(_ % 4 == t).map(i => i -> graphs.map(coinDraw(_, i)))
-        })
-      }
-      assert(parts.flatMap(_.get()).sortBy(_._1).map(_._2) == serial)
-    } finally {
-      pool.shutdown()
-      pool.awaitTermination(10, TimeUnit.SECONDS)
-    }
+    // each thread starts on the small graph, so its scratch grows twice
+    assert(onFourThreads(ids)(i => graphs.map(coinDraw(_, i))) == serial)
   }
 
   test("reverseCoinReach sees clean scratch after a throwing reverseReach callback and is rejected inside one") {
@@ -255,18 +203,7 @@ class TraversalSpec extends AnyFunSuite {
   test("concurrent reverseReaches queries on four threads equal serial queries") {
     val ids = 0 until 4000
     val serial = onNewThread(ids.map(query(big, _)))
-    val pool = Executors.newFixedThreadPool(4)
-    try {
-      val parts = (0 until 4).map { t =>
-        pool.submit(new Callable[Seq[(Int, Boolean)]] {
-          def call(): Seq[(Int, Boolean)] = ids.filter(_ % 4 == t).map(i => i -> query(big, i))
-        })
-      }
-      assert(parts.flatMap(_.get()).sortBy(_._1).map(_._2) == serial)
-    } finally {
-      pool.shutdown()
-      pool.awaitTermination(10, TimeUnit.SECONDS)
-    }
+    assert(onFourThreads(ids)(query(big, _)) == serial)
   }
 
   test("a throwing reverseReaches callback leaves the scratch clean") {
@@ -296,77 +233,5 @@ class TraversalSpec extends AnyFunSuite {
       (0 until 50).map(query(small, _))
     }
     assert(after == onNewThread((0 until 50).map(query(small, _))))
-  }
-
-  test("concurrent sweeps on four threads equal serial sweeps") {
-    val ids = 0 until 2000
-    val serial = onNewThread(ids.map(cascade(big, _)))
-    val pool = Executors.newFixedThreadPool(4)
-    try {
-      val parts = (0 until 4).map { t =>
-        pool.submit(new Callable[Seq[(Int, Seq[Int])]] {
-          def call(): Seq[(Int, Seq[Int])] = ids.filter(_ % 4 == t).map(i => i -> cascade(big, i))
-        })
-      }
-      assert(parts.flatMap(_.get()).sortBy(_._1).map(_._2) == serial)
-    } finally {
-      pool.shutdown()
-      pool.awaitTermination(10, TimeUnit.SECONDS)
-    }
-    assert(serial.count(_.length > 20) > 100)
-  }
-
-  test("interleaving sweeps on graphs of different sizes on one thread does not change results") {
-    val ids = 0 until 500
-    val smallAlone = onNewThread(ids.map(cascade(small, _)))
-    val bigAlone = onNewThread(ids.map(cascade(big, _)))
-    // Small first, so the scratch has to grow for the big graph.
-    val interleaved = onNewThread(ids.map(i => (cascade(small, i), cascade(big, i))))
-    assert(interleaved.map(_._1) == smallAlone)
-    assert(interleaved.map(_._2) == bigAlone)
-  }
-
-  test("a sweep whose relax or settle throws mid-round leaves the scratch clean") {
-    val ids = 0 until 300
-    val expected = onNewThread(ids.map(cascade(big, _)))
-    val after = onNewThread {
-      spreading(big).take(100).foreach { seed =>
-        // relax touches two nodes, then throws on its third call
-        var relaxed = 0
-        intercept[IllegalStateException] {
-          Traversal.sweep(big, Array(seed)) { (_, _) =>
-            relaxed += 1
-            if (relaxed == 3) throw new IllegalStateException("boom")
-            true
-          }(_ => true)
-        }
-        // settle throws on its second call, with the later touched nodes still flagged
-        var settled = 0
-        intercept[IllegalStateException] {
-          Traversal.sweep(big, Array(seed))((_, _) => true) { _ =>
-            settled += 1
-            if (settled == 2) throw new IllegalStateException("boom")
-            true
-          }
-        }
-      }
-      ids.map(cascade(big, _))
-    }
-    assert(after == expected)
-  }
-
-  test("re-entering sweep from its callbacks is rejected") {
-    val expected = onNewThread((0 until 50).map(cascade(small, _)))
-    val seed = spreading(big).head
-    val after = onNewThread {
-      intercept[IllegalArgumentException] {
-        Traversal.sweep(big, Array(seed))((_, _) => { cascade(small, 1); true })(_ => false)
-      }
-      intercept[IllegalArgumentException] {
-        Traversal.sweep(big, Array(seed))((_, _) => true)(_ => cascade(small, 1).nonEmpty)
-      }
-      (0 until 50).map(cascade(small, _))
-    }
-    assert(after == expected)
   }
 }

@@ -8,6 +8,9 @@ import repro.graph.GraphGen
 
 class MaxCoverSpec extends AnyFunSuite {
 
+  /** Number of RR sets in `rr` that contain a node of `seeds`. */
+  private def hits(rr: IndexedSeq[Array[Int]], seeds: Seq[Int]): Int = rr.count(_.exists(seeds.contains))
+
   test("picks the node covering the most RR sets first") {
     val rr = IndexedSeq(Array(0, 1), Array(1, 2), Array(1), Array(3))
     val res = MaxCover.nodeSelection(rr, k = 2, n = 4)
@@ -40,12 +43,13 @@ class MaxCoverSpec extends AnyFunSuite {
   test("coverage counts sets hit by the seed set") {
     val rr = IndexedSeq(Array(0, 1), Array(1, 2), Array(3), Array.empty[Int])
     val n = 2000
-    assert(MaxCover.coverage(rr, Array(1), n) == 2)
-    assert(MaxCover.coverage(rr, Array(1, 3), n) == 3)
-    assert(MaxCover.coverage(rr, Array.empty[Int], n) == 0)
-    assert(MaxCover.coverage(rr, Array(3, 1000), n) == 1) // ids no set contains
-    assert(MaxCover.coverage(rr, Array(-1, 3, -7), n) == 1) // negative ids hit nothing
-    assert(MaxCover.coverage(rr, Array(3, n, n + 5), n) == 1) // as do ids from n on
+    def prefix(seeds: Int*): Seq[Int] = MaxCover.prefixCoverage(rr, seeds.toArray, n).toSeq
+    assert(prefix(1) == Seq(2))
+    assert(prefix(1, 3) == Seq(2, 3))
+    assert(prefix().isEmpty)
+    assert(prefix(3, 1000) == Seq(1, 1)) // ids no set contains
+    assert(prefix(-1, 3, -7) == Seq(0, 1, 1)) // negative ids hit nothing
+    assert(prefix(3, n, n + 5) == Seq(1, 1, 1)) // as do ids from n on
   }
 
   test("prefix coverage of every prefix equals the coverage of that prefix on random collections") {
@@ -62,9 +66,7 @@ class MaxCoverSpec extends AnyFunSuite {
       val prefix = MaxCover.prefixCoverage(rr, seeds, n)
       assert(prefix.length == seeds.length)
       (1 to seeds.length).foreach { k =>
-        val want = rr.count(set => set.exists(v => seeds.take(k).contains(v)))
-        assert(prefix(k - 1) == want, s"trial $trial, k=$k")
-        assert(MaxCover.coverage(rr, seeds.take(k), n) == want, s"trial $trial, k=$k")
+        assert(prefix(k - 1) == hits(rr, seeds.take(k).toSeq), s"trial $trial, k=$k")
       }
     }
   }
@@ -99,7 +101,7 @@ class MaxCoverSpec extends AnyFunSuite {
     // brute force over all 2-subsets
     val rr = IndexedSeq(Array(0, 1), Array(1, 2), Array(2, 3), Array(3, 0), Array(1, 3))
     val res = MaxCover.nodeSelection(rr, k = 2, n = 4)
-    val best = (0 until 4).combinations(2).map(c => MaxCover.coverage(rr, c.toArray, 4)).max
+    val best = (0 until 4).combinations(2).map(hits(rr, _)).max
     assert(res.covered(2) == best)
   }
 
@@ -110,7 +112,7 @@ class MaxCoverSpec extends AnyFunSuite {
       val rr = IndexedSeq.fill(30)(Array.fill(1 + rng.nextInt(3))(rng.nextInt(n)).distinct)
       val k = 3
       val res = MaxCover.nodeSelection(rr, k, n)
-      val best = (0 until n).combinations(k).map(c => MaxCover.coverage(rr, c.toArray, n)).max
+      val best = (0 until n).combinations(k).map(hits(rr, _)).max
       assert(res.covered(k) >= math.ceil((1 - 1.0 / math.E) * best) - 1e-9)
     }
   }

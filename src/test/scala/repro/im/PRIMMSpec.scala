@@ -204,20 +204,27 @@ class PRIMMSpec extends AnyFunSuite with SparkSpec {
     def draw(i: Int): Array[Int] = sampler.sample(new SplittableRandom(RRSets.mix(3, i.toLong)))
     val rr = ArrayBuffer.tabulate(100)(draw)
     val selections = new PRIMM.Selections(rr, 8, g.n, Set.empty)
-    def regradedIs(sel: MaxCover.CoverResult): Unit =
-      (1 to 8).foreach(k => assert(selections.lastCovered(k) == MaxCover.coverage(rr, sel.seeds.take(k), g.n), s"k=$k"))
+    def countsAllOf(sel: MaxCover.CoverResult): Unit = {
+      val want = MaxCover.prefixCoverage(rr, sel.seeds, g.n)
+      (1 to 8).foreach(k => assert(selections.covered(k) == want(k - 1), s"k=$k"))
+    }
 
     val first = selections.select()
+    countsAllOf(first)
     rr ++= (100 until 2000).map(draw)
-    regradedIs(first)
-    // A re-selection at the size the cached coverage was computed at
-    // replaces the selection: the cache must not answer for the old one.
+    countsAllOf(first)
+    // A re-selection on the grown collection replaces the selection
+    // whose coverage was just re-counted at this size.
     val second = selections.select()
-    assert((1 to 8).exists(k => second.covered(k) != MaxCover.coverage(rr, first.seeds.take(k), g.n)))
-    regradedIs(second)
-    (1 to 8).foreach(k => assert(selections.lastCovered(k) == second.covered(k)))
+    assert(!second.seeds.sameElements(first.seeds))
+    assert((1 to 8).forall(k => second.covered(k) == selections.covered(k)))
+    countsAllOf(second)
     rr ++= (2000 until 3000).map(draw)
-    regradedIs(second)
+    countsAllOf(second)
+    // Selections are made anew only on a grown collection.
+    val third = selections.select()
+    countsAllOf(third)
+    assert(selections.select() eq third)
   }
 
   test("one run draws exactly rrCount RR sets") {
