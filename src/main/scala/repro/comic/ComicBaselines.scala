@@ -4,7 +4,7 @@ import java.util.SplittableRandom
 
 import org.apache.spark.sql.SparkSession
 
-import repro.graph.{SocialGraph, Traversal}
+import repro.graph.SocialGraph
 import repro.im.{PRIMM, RRSampler}
 import repro.im.RRSets.hash01
 
@@ -41,10 +41,7 @@ object ComicBaselines {
   private[comic] def adoptsInSpread(g: SocialGraph, w: Long, isSeed: Array[Boolean],
                                     q: Int => Double, salt: Long)(u: Int): Boolean = {
     def passes(v: Int): Boolean = hash01(w, v.toLong, salt) < q(v)
-    passes(u) && Traversal.reverseReaches(g, u) { (e, v) =>
-      val t = g.revSrc(e)
-      edgeLive(g, w, t, v, g.revP(e, v)) && passes(t)
-    }(isSeed(_))
+    passes(u) && search(g, w, u, queryScratch.get, passes, isSeed) < 0
   }
 
   /** Reverse BFS from `root` over live edges, passing only through nodes
@@ -54,10 +51,72 @@ object ComicBaselines {
   private[comic] def reverseAdoptingSet(g: SocialGraph, w: Long, root: Int,
                                         adopts: Int => Boolean): Array[Int] =
     if (!adopts(root)) Array.empty
-    else Traversal.reverseReach(g, root) { (e, v) =>
-      val u = g.revSrc(e)
-      edgeLive(g, w, u, v, g.revP(e, v)) && adopts(u)
+    else {
+      val s = walkScratch.get
+      val size = search(g, w, root, s, adopts, null)
+      // read the queue only now: the search may have grown it
+      java.util.Arrays.copyOf(s.queue, size)
     }
+
+  /** Per-thread working memory of one reverse search: one visited flag per
+    * node (all false between calls; grown when a larger graph comes), the
+    * BFS queue (grown on demand) and whether a search is using it.
+    */
+  private final class Scratch {
+    var seen = new Array[Boolean](0)
+    var queue = new Array[Int](64)
+    var busy = false
+  }
+  // One scratch for walks and one for queries, since RR-SIM+'s walk
+  // predicate asks adoption queries.
+  private val walkScratch = ThreadLocal.withInitial[Scratch](() => new Scratch)
+  private val queryScratch = ThreadLocal.withInitial[Scratch](() => new Scratch)
+
+  /** The reverse BFS of both, in scratch `s`: from `root`, expanding node
+    * `v`, its in-edges `e` are scanned in reverse-CSR order and the tail `t`
+    * is added iff `!seen(t) && edgeLive(..) && through(t)`, tested in that
+    * order. Returns the number of nodes visited (left in `s.queue`, `root`
+    * first), or -1 once a visited node is flagged in `stop` (null for a
+    * walk that never stops). The visited flags are cleared through the
+    * visited nodes, so concurrent searches on different threads are
+    * independent; `through` may not start a search in the same scratch.
+    */
+  private def search(g: SocialGraph, w: Long, root: Int, s: Scratch, through: Int => Boolean,
+                     stop: Array[Boolean]): Int = {
+    require(!s.busy, "reverse search re-entered from its own predicate")
+    if (s.seen.length < g.n) s.seen = new Array[Boolean](g.n)
+    val seen = s.seen
+    var queue = s.queue
+    queue(0) = root
+    seen(root) = true
+    s.busy = true
+    var size = 1
+    try {
+      var found = stop != null && stop(root)
+      var head = 0
+      while (head < size && !found) {
+        val v = queue(head)
+        var e = g.revOff(v)
+        val end = g.revOff(v + 1)
+        while (e < end && !found) {
+          val t = g.revSrc(e)
+          if (!seen(t) && edgeLive(g, w, t, v, g.revP(e, v)) && through(t)) {
+            if (size == queue.length) { queue = java.util.Arrays.copyOf(queue, size * 2); s.queue = queue }
+            queue(size) = t; size += 1
+            seen(t) = true
+            found = stop != null && stop(t)
+          }
+          e += 1
+        }
+        head += 1
+      }
+      if (found) -1 else size
+    } finally {
+      var i = 0
+      while (i < size) { seen(queue(i)) = false; i += 1 }
+      s.busy = false
+    }
+  }
 
   /** Seed flags per node of `g`; every seed must be a node of `g`. */
   private def seedFlags(g: SocialGraph, seeds: Array[Int]): Array[Boolean] = {

@@ -19,7 +19,8 @@ object SeededBatch {
     * `[offset, offset+count)`, id `i` yielding
     * `sample(payload, new SplittableRandom(RRSets.mix(seed, i)))`, and
     * returns the results in id order. Each result depends only on its id,
-    * never on how the ids are split; `count <= 0` draws nothing. A `draw`
+    * never on how the ids are split; `count <= 0` draws nothing, and a
+    * `count` above `Int.MaxValue` throws before any sample runs. A `draw`
     * after `body` returns or throws fails.
     *
     * On a local master the ids are mapped in this JVM on a fixed pool of
@@ -42,10 +43,12 @@ object SeededBatch {
       sample: (P, SplittableRandom) => A)(body: ((Long, Long) => Array[A]) => R): R = {
     val sc = spark.sparkContext
     val b = sc.broadcast(payload)
-    def draw(offset: Long, count: Long): Array[A] =
+    def draw(offset: Long, count: Long): Array[A] = {
+      requireFits(count)
       if (count <= 0) Array.empty
       else sc.range(offset, offset + count, numSlices = slices(count, sc.defaultParallelism))
         .map(i => sample(b.value, new SplittableRandom(RRSets.mix(seed, i)))).collect()
+    }
     try body(draw) finally b.destroy()
   }
 
@@ -59,6 +62,7 @@ object SeededBatch {
     @volatile var open = true
     def draw(offset: Long, count: Long): Array[A] = {
       if (!open) throw new IllegalStateException("draw on a seeded batch whose body has returned")
+      requireFits(count)
       if (count <= 0) Array.empty
       else {
         val out = new Array[A](count.toInt)
@@ -83,6 +87,10 @@ object SeededBatch {
     }
     try body(draw) finally open = false
   }
+
+  /** A draw returns its samples in one array, so it takes at most `Int.MaxValue` ids. */
+  private def requireFits(count: Long): Unit =
+    require(count <= Int.MaxValue, s"a draw of $count ids does not fit in one array")
 
   private val pools = new ConcurrentHashMap[Int, ExecutorService]
 

@@ -140,6 +140,13 @@ class SeededBatchSpec extends AnyFunSuite with SparkSpec with PropHelpers {
     assert(RRSets.generate(spark, sampler, 40, 3L, 0).map(_.toSeq).toSeq == serialRR(sampler, 3L, 0 until 40))
   }
 
+  test("a draw of more ids than an array holds throws before any sample runs") {
+    for ((path, onSpark) <- paths; count <- Seq(1L << 31, 1L << 32)) withClue(s"$path count=$count") {
+      batch(onSpark, new FailingSampler, 1L)(_.sample(_))(draw => intercept[IllegalArgumentException](draw(0, count)))
+    }
+    intercept[IllegalArgumentException](RRSets.generate(spark, new FailingSampler, 1L << 31, 1L, 0))
+  }
+
   test("in process, a draw after the batch closes throws") {
     val draw = batch(onSpark = false, sampler, 1L)(_.sample(_))(identity)
     intercept[IllegalStateException](draw(0, 4))

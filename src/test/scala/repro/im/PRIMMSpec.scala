@@ -71,7 +71,7 @@ class PRIMMSpec extends AnyFunSuite with SparkSpec {
     val g = detGraph
     val reach = reachSets(g)
     val res = PRIMM.imm(spark, g, 1, eps = 0.3, seed = 2)
-    assert(sigma(reach, res.seeds.take(1)) == bruteOpt(reach, g.n, 1))
+    assert(sigma(reach, res.seeds.take(1).toSeq) == bruteOpt(reach, g.n, 1))
     assert(res.seeds.head == 0) // hub 0 reaches 13 nodes
   }
 
@@ -80,7 +80,7 @@ class PRIMMSpec extends AnyFunSuite with SparkSpec {
     val reach = reachSets(g)
     val res = PRIMM.imm(spark, g, 3, eps = 0.3, seed = 2)
     val opt = bruteOpt(reach, g.n, 3)
-    assert(sigma(reach, res.seeds.take(3)) >= math.ceil((1 - 1.0 / math.E - 0.3) * opt))
+    assert(sigma(reach, res.seeds.take(3).toSeq) >= math.ceil((1 - 1.0 / math.E - 0.3) * opt))
     // hub 0 reaches 13 nodes, hub 13 and chain head 30 reach 10 each —
     // together they dominate hub 23's 7.
     assert(res.seeds.take(3).toSet == Set(0, 13, 30))
@@ -94,7 +94,7 @@ class PRIMMSpec extends AnyFunSuite with SparkSpec {
     assert(res.seeds.length == 5)
     for (k <- budgets) {
       val opt = bruteOpt(reach, g.n, k)
-      val got = sigma(reach, res.seeds.take(k))
+      val got = sigma(reach, res.seeds.take(k).toSeq)
       assert(got >= (1 - 1.0 / math.E - 0.3) * opt,
         s"k=$k: got $got, opt $opt")
     }
@@ -119,7 +119,7 @@ class PRIMMSpec extends AnyFunSuite with SparkSpec {
     val reach = reachSets(g)
     val res = PRIMM.imm(spark, g, 3, eps = 0.25, seed = 7)
     val est = res.sigmaHat(2)
-    val act = sigma(reach, res.seeds.take(3))
+    val act = sigma(reach, res.seeds.take(3).toSeq)
     assert(math.abs(est - act) < 0.25 * act, s"est=$est act=$act")
   }
 
@@ -186,7 +186,7 @@ class PRIMMSpec extends AnyFunSuite with SparkSpec {
     val r1 = PRIMM.run(spark, g, Seq(3, 3, 1), eps = 0.3, seed = 10)
     assert(r1.seeds.length == 3)
     val opt = bruteOpt(reach, g.n, 3)
-    assert(sigma(reach, r1.seeds.take(3)) >= (1 - 1.0 / math.E - 0.3) * opt)
+    assert(sigma(reach, r1.seeds.take(3).toSeq) >= (1 - 1.0 / math.E - 0.3) * opt)
   }
 
   test("forbidden nodes must leave at least the largest budget selectable") {
