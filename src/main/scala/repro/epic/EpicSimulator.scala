@@ -9,8 +9,9 @@ import repro.items.Adoption
   *
   * A possible world `W = (W^E, W^N)` fixes the edge coin flips and the
   * noise terms; `util` is the utility table of the noise world. Edge coins
-  * are flipped lazily from a live RNG, at most once per edge (the model's
-  * "tested once, status remembered").
+  * are flipped lazily from a live RNG, once per edge (the model's "tested
+  * once, status remembered"): a node flips all its out-edge coins at its
+  * first push and keeps only the heads of its live edges.
   *
   * The propagation loop is push-on-change: a node whose adoption set grew
   * at step `t-1` pushes its adoption mask along its (live) out-edges at
@@ -18,14 +19,16 @@ import repro.items.Adoption
   */
 object EpicSimulator {
 
-  /** Per-thread working memory of one diffusion, `n` entries each (grown
-    * when a larger graph comes): a touched flag per node (all false between
-    * calls), the frontier and the touched list.
+  /** Per-thread working memory of one diffusion: a touched flag per node
+    * (all false between calls), the frontier and the touched list, `n`
+    * entries each and grown when a larger graph comes, and the live-head
+    * buffer, grown as pushes need it.
     */
   private final class Scratch {
     var inTouched = new Array[Boolean](0)
     var front = new Array[Int](0)
     var touched = new Array[Int](0)
+    var heads = new Array[Int](0)
     var busy = false
   }
   private val scratch = ThreadLocal.withInitial[Scratch](() => new Scratch)
@@ -41,15 +44,18 @@ object EpicSimulator {
     * At t = 1 each seed (in `alloc`'s iteration order) desires its
     * allocation and runs the adoption rule; the seeds whose adoption grew
     * form the frontier. Each later round, every frontier node `u` (in
-    * frontier order) pushes its adoption along each out-edge `e` (in CSR
-    * order): the edge's coin is `testEdge(e, u)` the first time it is asked
-    * and is remembered for the world, and a live edge whose head `v` lacks
-    * part of `u`'s adoption in its desire set adds it and touches `v`. Then
-    * each touched node (once, in first-touch order) re-runs the rule, and
-    * the nodes whose adoption grew form the next frontier.
+    * frontier order) pushes its adoption along each live out-edge in CSR
+    * order: a live edge whose head `v` lacks part of `u`'s adoption in its
+    * desire set adds it and touches `v`. At `u`'s first push each out-edge
+    * `e` (in CSR order) is asked `testEdge(e, u)` once, and a live edge's
+    * head is kept; a later push of `u` walks only the kept heads. Then each
+    * touched node (once, in first-touch order) re-runs the rule, and the
+    * nodes whose adoption grew form the next frontier.
     *
-    * The frontier, the touched list and the touched flags live in
-    * per-thread scratch arrays, and the flags are cleared even when
+    * The kept heads of every pushed node lie in one per-thread buffer, a
+    * count followed by the heads, found through a per-world offset per
+    * node. The frontier, the touched list and the touched flags live in
+    * per-thread scratch arrays too, and the flags are cleared even when
     * `testEdge` throws, so concurrent calls on different threads are
     * independent. `testEdge` must not start a diffusion: a nested call on
     * the same thread throws.
@@ -64,17 +70,23 @@ object EpicSimulator {
     val inTouched = s.inTouched
     val front = s.front
     val touched = s.touched
+    var heads = s.heads
     val desire = new Array[Int](g.n)
     val adoption = new Array[Int](g.n)
-    val coin = new Array[Byte](g.fwdDst.length) // 0 untested, 1 live, 2 blocked
+    // 1 + the offset in `heads` of node u's live-head count; 0 before u's first push.
+    val liveAt = new Array[Int](g.n)
     val adopt = Adoption.inWorld(util)
     // A node re-runs the adoption rule on its desire set; true iff it grew.
     def settle(v: Int): Boolean = {
       val a = adopt(desire(v), adoption(v))
       a != adoption(v) && { adoption(v) = a; true }
     }
+    // Adoption `a` reaches `v` over a live edge; true iff `v` is first touched this round.
+    def offer(v: Int, a: Int): Boolean =
+      (a & ~desire(v)) != 0 && { desire(v) |= a; !inTouched(v) && { inTouched(v) = true; true } }
     var size = 0
     var nTouched = 0
+    var nHeads = 0
     s.busy = true
     try {
       // t = 1: seeds desire their allocation and settle.
@@ -91,18 +103,33 @@ object EpicSimulator {
         while (i < size) {
           val u = front(i)
           val aU = adoption(u)
-          var e = g.fwdOff(u)
-          val end = g.fwdOff(u + 1)
-          while (e < end) {
-            if (coin(e) == 0) coin(e) = if (testEdge(e, u)) 1 else 2
-            if (coin(e) == 1) {
-              val v = g.fwdDst(e)
-              if ((aU & ~desire(v)) != 0) {
-                desire(v) |= aU
-                if (!inTouched(v)) { inTouched(v) = true; touched(nTouched) = v; nTouched += 1 }
-              }
+          if (liveAt(u) == 0) { // first push: ask each out-edge's coin, keep the live heads
+            var e = g.fwdOff(u)
+            val end = g.fwdOff(u + 1)
+            if (nHeads + 1 + end - e > heads.length) {
+              heads = java.util.Arrays.copyOf(heads, math.max(2 * heads.length, nHeads + 1 + end - e))
+              s.heads = heads
             }
-            e += 1
+            val at = nHeads
+            nHeads += 1
+            while (e < end) {
+              if (testEdge(e, u)) {
+                val v = g.fwdDst(e)
+                heads(nHeads) = v; nHeads += 1
+                if (offer(v, aU)) { touched(nTouched) = v; nTouched += 1 }
+              }
+              e += 1
+            }
+            heads(at) = nHeads - at - 1
+            liveAt(u) = at + 1
+          } else {
+            var j = liveAt(u)
+            val end = j + heads(j - 1)
+            while (j < end) {
+              val v = heads(j)
+              if (offer(v, aU)) { touched(nTouched) = v; nTouched += 1 }
+              j += 1
+            }
           }
           i += 1
         }

@@ -62,20 +62,15 @@ object GraphGen {
       perm(draw(cum, rng)), perm(draw(cum, rng)))
   }
 
-  /** Erdős–Rényi-ish small random graph for unit tests. */
-  def uniformDirected(name: String, n: Int, targetEdges: Int, seed: Long = 11): SocialGraph = {
-    val rng = new SplittableRandom(seed)
-    distinctArcs(name, n, targetEdges, targetEdges.toLong * 50, undirected = false)(rng.nextInt(n), rng.nextInt(n))
-  }
-
   /** The generators' one draw loop: evaluates `src` then `dst` per attempt
     * until `target` distinct arcs are found or `maxAttempts` attempts are
     * spent, dropping self-loops and repeats, and builds the weighted-cascade
     * graph. When `undirected`, a pair counts once whichever way round it is
     * drawn and pair `i` is stored as arcs `2i = (min, max)` and
-    * `2i+1 = (max, min)`.
+    * `2i+1 = (max, min)`. The tests' uniform random graphs draw through it
+    * too (`repro.TestInputs.uniformDirected`).
     */
-  private def distinctArcs(name: String, n: Int, target: Int, maxAttempts: Long, undirected: Boolean)
+  private[repro] def distinctArcs(name: String, n: Int, target: Int, maxAttempts: Long, undirected: Boolean)
                           (src: => Int, dst: => Int): SocialGraph = {
     val width = if (undirected) 2 else 1
     val us, vs = new Array[Int](target * width)

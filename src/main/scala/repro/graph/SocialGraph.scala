@@ -41,12 +41,6 @@ final case class SocialGraph(
   /** Number of directed edges stored. */
   def m: Long = fwdDst.length.toLong
 
-  /** Out-degree of node `u`. */
-  def outDeg(u: Int): Int = fwdOff(u + 1) - fwdOff(u)
-
-  /** In-degree of node `v`. */
-  def inDeg(v: Int): Int = revOff(v + 1) - revOff(v)
-
   /** Probability of forward arc `e`, the edge `u -> fwdDst(e)`. */
   def fwdP(e: Int): Double = if (wcProb.length > 0) wcProb(fwdDst(e)) else fwdProb(e)
 
@@ -105,12 +99,4 @@ object SocialGraph {
       if (probs != null) Array.emptyDoubleArray else Array.tabulate(n)(v => 1.0 / (revOff(v + 1) - revOff(v)))
     SocialGraph(name, n, fwdOff, fwdDst, fwdProb, revOff, revSrc, revProb, wcProb, undirected)
   }
-
-  /** [[fromArcs]] over `(u, v)` pairs with weighted-cascade probabilities. */
-  def fromEdges(name: String, n: Int, edges: Array[(Int, Int)], undirected: Boolean = false): SocialGraph =
-    fromArcs(name, n, edges.map(_._1), edges.map(_._2), None, undirected)
-
-  /** [[fromArcs]] over `(u, v, p)` triples with explicit probabilities. */
-  def fromEdgesWithProb(name: String, n: Int, edges: Array[(Int, Int, Double)], undirected: Boolean = false): SocialGraph =
-    fromArcs(name, n, edges.map(_._1), edges.map(_._2), Some(edges.map(_._3)), undirected)
 }

@@ -122,7 +122,6 @@ final case class NoiseSpec(stds: Array[Double]) {
 
 object NoiseSpec {
   def uniform(k: Int, std: Double): NoiseSpec = NoiseSpec(Array.fill(k)(std))
-  def none(k: Int): NoiseSpec = NoiseSpec(Array.fill(k)(0.0))
 }
 
 /** The full EPIC utility model `U(S) = V(S) - P(S) + N(S)` (Param in the

@@ -39,7 +39,7 @@ class GoldenInputSpec extends AnyFunSuite {
   test("CSR arrays of the golden suites' generated graphs") {
     val graphs = Seq(GraphGen.powerLawDirected("golden-d", 2000, 16000, seed = 5),
       GraphGen.powerLawUndirected("golden-u", 1500, 6000, seed = 6),
-      GraphGen.uniformDirected("golden-alloc-uni", 1000, 5000, seed = 3))
+      TestInputs.uniformDirected("golden-alloc-uni", 1000, 5000, seed = 3))
     assert(graphs.map(csr) == Seq("b10ffbfd482c808b", "ac088a9c28f2bb8e", "928054786a87fc89"))
   }
 
@@ -48,8 +48,8 @@ class GoldenInputSpec extends AnyFunSuite {
     val arcs = Array((0, 1), (2, 3), (1, 2), (2, 3), (3, 0), (1, 3), (4, 1), (3, 4), (1, 0))
     val probs = Array(0.9, 0.2, 0.6, 0.7, 0.5, 0.3, 0.8, 0.4, 0.1)
     val weighted = arcs.zip(probs).map { case ((u, v), p) => (u, v, p) }
-    val graphs = Seq(SocialGraph.fromEdges("golden-wc", 5, arcs),
-      SocialGraph.fromEdgesWithProb("golden-p", 5, weighted, undirected = true))
+    val graphs = Seq(TestInputs.fromEdges("golden-wc", 5, arcs),
+      TestInputs.fromEdgesWithProb("golden-p", 5, weighted, undirected = true))
     assert(graphs.map(csr) == Seq("7ee2f80d89a1b5c4", "41ef3acaebdb0eed"))
   }
 

@@ -4,7 +4,7 @@ import java.util.SplittableRandom
 
 import org.scalatest.funsuite.AnyFunSuite
 
-import repro.{PropHelpers, SparkSpec}
+import repro.{PropHelpers, SparkSpec, TestInputs}
 import repro.core.Configs
 import repro.graph.{GraphGen, SocialGraph}
 import repro.im.PRIMM
@@ -14,7 +14,7 @@ class ComicBaselinesSpec extends AnyFunSuite with SparkSpec with PropHelpers {
   private lazy val g = GraphGen.powerLawDirected("t", 300, 2400, seed = 21)
 
   test("forwardSpread with q=1 and p=1 floods reachable nodes") {
-    val chain = SocialGraph.fromEdgesWithProb("c", 4, Array((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)))
+    val chain = TestInputs.fromEdgesWithProb("c", 4, Array((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)))
     val adopted = ComicReference.forwardSpread(chain, w = 5, seeds = Array(0),
       qSelf = 1.0, qBoost = 1.0, boosted = _ => false, salt = 13)
     assert(adopted.forall(identity))
@@ -23,7 +23,7 @@ class ComicBaselinesSpec extends AnyFunSuite with SparkSpec with PropHelpers {
   }
 
   test("forwardSpread with q=0 adopts nothing") {
-    val chain = SocialGraph.fromEdgesWithProb("c", 3, Array((0, 1, 1.0), (1, 2, 1.0)))
+    val chain = TestInputs.fromEdgesWithProb("c", 3, Array((0, 1, 1.0), (1, 2, 1.0)))
     val adopted = ComicReference.forwardSpread(chain, w = 5, seeds = Array(0),
       qSelf = 0.0, qBoost = 0.0, boosted = _ => false, salt = 13)
     assert(!adopted.exists(identity))
@@ -48,7 +48,7 @@ class ComicBaselinesSpec extends AnyFunSuite with SparkSpec with PropHelpers {
       val arcs = Array.fill(rng.nextInt(4 * n + 1))((rng.nextInt(n), rng.nextInt(n), rng.nextDouble()))
       // some arcs again at a fresh probability
       val dups = arcs.filter(_ => rng.nextInt(4) == 0).map { case (u, v, _) => (u, v, rng.nextDouble()) }
-      val g = SocialGraph.fromEdgesWithProb(s"rand-$s", n, arcs ++ dups)
+      val g = TestInputs.fromEdgesWithProb(s"rand-$s", n, arcs ++ dups)
       def q(): Double = rng.nextInt(4) match { case 0 => 0.0; case 1 => 1.0; case _ => rng.nextDouble() }
       val seeds = Array.fill(rng.nextInt(5))(rng.nextInt(n))
       val (qSelf, qBoost) = (q(), q())
@@ -56,7 +56,7 @@ class ComicBaselinesSpec extends AnyFunSuite with SparkSpec with PropHelpers {
       (0 until 10).foreach(_ => assertQueryMatchesSpread(g, rng.nextLong(), seeds, qSelf, qBoost, boosted(_), 13))
     }
     // the samplers' own GAPs on a power-law graph
-    val seeds = (0 until g.n).sortBy(u => -g.outDeg(u)).take(15).toArray
+    val seeds = (0 until g.n).sortBy(u => -TestInputs.outDeg(g, u)).take(15).toArray
     for (cfg <- Seq(Configs.config1, Configs.config3, Configs.config5); w <- 0 until 20) {
       val gap = cfg.gap
       assertQueryMatchesSpread(g, w.toLong, seeds, gap.qB0, gap.qBA, seeds.contains, 17)
@@ -73,13 +73,13 @@ class ComicBaselinesSpec extends AnyFunSuite with SparkSpec with PropHelpers {
   }
 
   test("reverseAdoptingSet with passing predicate equals the RR ancestor set") {
-    val chain = SocialGraph.fromEdgesWithProb("c", 4, Array((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)))
+    val chain = TestInputs.fromEdgesWithProb("c", 4, Array((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)))
     val rr = ComicBaselines.reverseAdoptingSet(chain, w = 5, root = 3, adopts = _ => true)
     assert(rr.toSet == Set(0, 1, 2, 3))
   }
 
   test("reverseAdoptingSet is empty when the root fails the predicate") {
-    val chain = SocialGraph.fromEdgesWithProb("c", 2, Array((0, 1, 1.0)))
+    val chain = TestInputs.fromEdgesWithProb("c", 2, Array((0, 1, 1.0)))
     val rr = ComicBaselines.reverseAdoptingSet(chain, w = 5, root = 1, adopts = _ != 1)
     assert(rr.isEmpty)
   }

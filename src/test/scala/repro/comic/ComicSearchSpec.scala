@@ -4,7 +4,7 @@ import java.util.SplittableRandom
 
 import org.scalatest.funsuite.AnyFunSuite
 
-import repro.ReverseBfs
+import repro.{ReverseBfs, TestInputs}
 import repro.Threads.{onFourThreads, onNewThread}
 import repro.graph.{GraphGen, SocialGraph}
 import repro.im.RRSets.hash01
@@ -20,7 +20,7 @@ import repro.im.RRSets.hash01
 class ComicSearchSpec extends AnyFunSuite {
 
   private lazy val big = GraphGen.powerLawDirected("search-big", 2000, 16000, seed = 5)
-  private lazy val small = GraphGen.uniformDirected("search-small", 60, 400, seed = 7)
+  private lazy val small = TestInputs.uniformDirected("search-small", 60, 400, seed = 7)
 
   /** 400 nodes and 2,400 arcs of p = 0.35, so many walks outgrow the
     * search's initial 64-slot queue.

@@ -5,11 +5,12 @@ import java.util.SplittableRandom
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.Golden.{digest, hubs}
+import repro.TestInputs
 import repro.core.{Allocation, Configs}
 import repro.epic.{EpicSimulator, HashedWorld}
 import repro.graph.{GraphGen, SocialGraph}
 import repro.im.{ICRRSampler, RRSampler, RRSets}
-import repro.items.{NoiseSpec, SetFunctions, UtilityModel, Valuations}
+import repro.items.{SetFunctions, UtilityModel, Valuations}
 
 /** Golden outputs of every graph traversal: IC RR sets, the Com-IC RR
   * samplers and forward spread, and EPIC diffusion, each hashed over fixed
@@ -56,7 +57,7 @@ class GoldenOutputSpec extends AnyFunSuite {
       assert(samples(directed, hubs(directed, 20), cfg.gap) == ((sim, cim)), s"directed, config ${cfg.no}")
     }
     // Arc 2 -> 3 appears twice at different probabilities; seeds 0 and 6.
-    val dup = SocialGraph.fromEdgesWithProb("golden-dup", 10, Array(
+    val dup = TestInputs.fromEdgesWithProb("golden-dup", 10, Array(
       (0, 1, 0.9), (1, 2, 0.6), (2, 3, 0.2), (2, 3, 0.7), (3, 4, 0.8), (4, 5, 0.5), (5, 6, 0.9),
       (6, 2, 0.4), (6, 7, 0.5), (7, 3, 0.6), (8, 7, 0.7), (9, 8, 0.5), (5, 9, 0.3), (0, 4, 0.3),
       (4, 0, 0.6)))
@@ -125,7 +126,7 @@ class GoldenOutputSpec extends AnyFunSuite {
     val rough = {
       val rng = new SplittableRandom(53)
       val v = Valuations.tabulate(k)(m => if (m == 0) 0.0 else 2.0 * Integer.bitCount(m) + rng.nextInt(5) - 2)
-      UtilityModel(v, Array.fill(k)(1.0), NoiseSpec.none(k))
+      UtilityModel(v, Array.fill(k)(1.0), TestInputs.noNoise(k))
     }
     assert(!SetFunctions.isSupermodular(rough.valuation))
     for ((name, model, live, fixed) <- Seq(

@@ -2,7 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 
-import repro.SparkSpec
+import repro.{SparkSpec, TestInputs}
 import repro.graph.GraphGen
 
 class BaselinesSpec extends AnyFunSuite with SparkSpec {
@@ -94,13 +94,13 @@ class BaselinesSpec extends AnyFunSuite with SparkSpec {
   }
 
   test("item-disj rejects budgets summing past the node count") {
-    val small = GraphGen.uniformDirected("s", 10, 30, seed = 3)
+    val small = TestInputs.uniformDirected("s", 10, 30, seed = 3)
     intercept[IllegalArgumentException](Baselines.itemDisj(spark, small, Array(6, 5)))
   }
 
   test("bundle-disj rejects budgets that need more fresh seeds than there are nodes") {
     // Config 3 seeds each item on its own fresh nodes: 6 + 5 > 10
-    val small = GraphGen.uniformDirected("s", 10, 30, seed = 3)
+    val small = TestInputs.uniformDirected("s", 10, 30, seed = 3)
     intercept[IllegalArgumentException](
       Baselines.bundleDisj(spark, small, Array(6, 5), Configs.config3.detUtil, seed = 5))
   }

@@ -3,7 +3,7 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.Golden.{digest, hubs}
-import repro.SparkSpec
+import repro.{SparkSpec, TestInputs}
 import repro.comic.ComicBaselines
 import repro.graph.GraphGen
 import repro.im.PRIMM
@@ -30,7 +30,7 @@ class GoldenAllocationSpec extends AnyFunSuite with SparkSpec {
 
   test("PRIMM where a budget switch evaluates the previous selection on a grown collection") {
     // Selecting anew after these switches would change rrCount and seeds.
-    val g = GraphGen.uniformDirected("golden-alloc-uni", 1000, 5000, seed = 3)
+    val g = TestInputs.uniformDirected("golden-alloc-uni", 1000, 5000, seed = 3)
     val h = digest(_.result(PRIMM.run(spark, g, Seq(60, 50, 40, 30, 20, 10), seed = 3)))
     assert(h == "711d11de2ba72362")
   }

@@ -2,8 +2,7 @@ package repro.epic
 
 import org.scalatest.funsuite.AnyFunSuite
 
-import repro.{PropHelpers, SparkSpec}
-import repro.graph.GraphGen
+import repro.{PropHelpers, SparkSpec, TestInputs}
 
 class EpicPregelSpec extends AnyFunSuite with SparkSpec with PropHelpers {
   import Example1._
@@ -23,7 +22,7 @@ class EpicPregelSpec extends AnyFunSuite with SparkSpec with PropHelpers {
 
   test("Pregel and local simulator agree node-for-node on random graphs and worlds") {
     forSeeds(6) { s =>
-      val graph = GraphGen.uniformDirected("t", 80, 400, seed = s)
+      val graph = TestInputs.uniformDirected("t", 80, 400, seed = s)
       val alloc = Map((s % 80).toInt -> 7, ((s / 3) % 80).toInt -> 5, ((s / 7) % 80).toInt -> 2)
       val local = HashedWorld.diffuseFixedWorld(graph, alloc, util, worldSeed = s)
       val pregel = EpicPregel.diffuseFixedWorld(spark, graph, alloc, util, worldSeed = s)

@@ -4,7 +4,7 @@ import java.util.SplittableRandom
 
 import org.scalatest.funsuite.AnyFunSuite
 
-import repro.PropHelpers
+import repro.{PropHelpers, TestInputs}
 import repro.Threads.{onFourThreads, onNewThread}
 import repro.graph.{GraphGen, SocialGraph}
 import repro.im.RRSets
@@ -15,7 +15,7 @@ import repro.items._
   * sigma(v1)=4, and v3/v4 are reachable from both v1 and v5.
   */
 object Example1 {
-  val g: SocialGraph = SocialGraph.fromEdgesWithProb("ex1", 7, Array(
+  val g: SocialGraph = TestInputs.fromEdgesWithProb("ex1", 7, Array(
     (0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (4, 2, 1.0), (4, 5, 1.0), (4, 6, 1.0),
   ))
   // items i1,i2,i3; values so that U(i)=-1 per item, U({i1,i2})=U({i1,i3})=1,
@@ -23,7 +23,7 @@ object Example1 {
   val model: UtilityModel = UtilityModel(
     Array(0.0, 1.0, 1.0, 5.0, 1.0, 5.0, 3.0, 9.0),
     Array(2.0, 2.0, 2.0),
-    NoiseSpec.none(3),
+    TestInputs.noNoise(3),
   )
   val util: Array[Double] = model.deterministicUtility
 
@@ -38,10 +38,10 @@ class EpicSimulatorSpec extends AnyFunSuite with PropHelpers {
   import Example1._
 
   private lazy val big = GraphGen.powerLawDirected("epic-big", 2000, 16000, seed = 5)
-  private lazy val small = GraphGen.uniformDirected("epic-small", 60, 400, seed = 7)
+  private lazy val small = TestInputs.uniformDirected("epic-small", 60, 400, seed = 7)
 
   /** One item worth 2 at price 1: every node a live edge reaches adopts it. */
-  private val oneItem = UtilityModel(Array(0.0, 2.0), Array(1.0), NoiseSpec.none(1)).deterministicUtility
+  private val oneItem = UtilityModel(Array(0.0, 2.0), Array(1.0), TestInputs.noNoise(1)).deterministicUtility
 
   /** Diffusion `i` of `g`: the one item seeded at three nodes drawn from
     * sample id `i`, as the nodes that adopt it.
@@ -56,6 +56,25 @@ class EpicSimulatorSpec extends AnyFunSuite with PropHelpers {
   /** Nodes with out-edges to at least three other nodes. */
   private def spreading(g: SocialGraph): Seq[Int] =
     (0 until g.n).filter(u => (g.fwdOff(u) until g.fwdOff(u + 1)).map(g.fwdDst).filter(_ != u).distinct.size >= 3)
+
+  /** Instance `s`: a random graph of 30–79 nodes (weighted cascade, or the
+    * same arcs with explicit probabilities in [0.2, 0.9)), two to four items
+    * seeded on disjoint node sets of one to three nodes, and a utility table
+    * in which adopting more items pays, so a node that one item reaches and
+    * a later one grows pushes again.
+    */
+  private def rePushInstance(s: Long): (SocialGraph, Map[Int, Int], Array[Double]) = {
+    val rng = new SplittableRandom(s)
+    val n = 30 + rng.nextInt(50)
+    val wc = TestInputs.uniformDirected("t", n, 4 * n, seed = s)
+    val g = if (rng.nextBoolean()) wc else TestInputs.fromEdgesWithProb("t", n,
+      Array.tabulate(n)(u => (wc.fwdOff(u) until wc.fwdOff(u + 1)).map(e => (u, wc.fwdDst(e), 0.2 + 0.7 * rng.nextDouble()))).flatten)
+    val k = 2 + rng.nextInt(3)
+    val nodes = new scala.util.Random(s).shuffle((0 until n).toList).iterator
+    val alloc = (0 until k).flatMap(i => Seq.fill(1 + rng.nextInt(3))(nodes.next() -> (1 << i))).toMap
+    val util = Array.tabulate(1 << k)(m => if (m == 0) 0.0 else Integer.bitCount(m) + rng.nextDouble() - 0.5)
+    (g, alloc, util)
+  }
 
   test("Example 1, greedy allocation: v3..v7 adopt all items, welfare 15") {
     val adoption = EpicSimulator.diffuse(g, greedyAlloc, util, new SplittableRandom(1))
@@ -87,7 +106,7 @@ class EpicSimulatorSpec extends AnyFunSuite with PropHelpers {
   test("Lemma 4: adoption propagates through reachability in every world") {
     forSeeds(20) { s =>
       val rng = new SplittableRandom(s)
-      val graph = GraphGen.uniformDirected("t", 60, 240, seed = s)
+      val graph = TestInputs.uniformDirected("t", 60, 240, seed = s)
       val alloc = Map(rng.nextInt(60) -> 7, rng.nextInt(60) -> 3)
       val adoption = HashedWorld.diffuseFixedWorld(graph, alloc, util, worldSeed = s)
       // recompute live reachability with the same hash coupling
@@ -115,7 +134,7 @@ class EpicSimulatorSpec extends AnyFunSuite with PropHelpers {
   test("Theorem 1 (per-world): welfare is monotone in the allocation") {
     forSeeds(30) { s =>
       val rng = new SplittableRandom(s)
-      val graph = GraphGen.uniformDirected("t", 50, 200, seed = s)
+      val graph = TestInputs.uniformDirected("t", 50, 200, seed = s)
       val a1 = Map(rng.nextInt(50) -> (1 + rng.nextInt(7)))
       val extra = Map(rng.nextInt(50) -> (1 + rng.nextInt(7)))
       val a2 = (a1.keySet ++ extra.keySet).map { v =>
@@ -129,7 +148,7 @@ class EpicSimulatorSpec extends AnyFunSuite with PropHelpers {
 
   test("all adoption sets are local maxima at the end of diffusion (Lemma 3)") {
     forSeeds(20) { s =>
-      val graph = GraphGen.uniformDirected("t", 60, 240, seed = s)
+      val graph = TestInputs.uniformDirected("t", 60, 240, seed = s)
       val rng = new SplittableRandom(s)
       val alloc = Map(rng.nextInt(60) -> 7, rng.nextInt(60) -> 6, rng.nextInt(60) -> 5)
       val adoption = EpicSimulator.diffuse(graph, alloc, util, rng)
@@ -144,7 +163,7 @@ class EpicSimulatorSpec extends AnyFunSuite with PropHelpers {
 
   test("adoption counts and welfare agree with direct recomputation") {
     forSeeds(15) { s =>
-      val graph = GraphGen.uniformDirected("t", 40, 160, seed = s)
+      val graph = TestInputs.uniformDirected("t", 40, 160, seed = s)
       val alloc = Map(0 -> 7, 1 -> 3)
       val adoption = HashedWorld.diffuseFixedWorld(graph, alloc, util, s)
       val w = adoption.map(util).sum
@@ -210,5 +229,34 @@ class EpicSimulatorSpec extends AnyFunSuite with PropHelpers {
       (0 until 50).map(spread(small, _))
     }
     assert(after == expected)
+  }
+
+  test("diffuse matches the coin-array reference where nodes push again") {
+    var pushes, pushed = 0
+    forSeeds(60) { s =>
+      val (g, alloc, util) = rePushInstance(s)
+      val (rng, refRng) = (new SplittableRandom(s), new SplittableRandom(s))
+      val adoption = EpicSimulator.diffuse(g, alloc, util, rng)
+      val order = scala.collection.mutable.ArrayBuffer.empty[Int]
+      val expected = EpicReference.run(g, alloc, util, (e, _) => refRng.nextDouble() < g.fwdP(e), order += _)
+      assert(adoption.toSeq == expected.toSeq, s"seed=$s")
+      assert(rng.nextLong() == refRng.nextLong(), s"seed=$s: RNG state differs")
+      pushes += order.length; pushed += order.distinct.length
+    }
+    // Over a third of all pushes are a node's second or later (about half at these seeds).
+    assert(pushes - pushed > pushes / 3, s"$pushes pushes by $pushed nodes")
+  }
+
+  test("each out-edge of a pushed node is tested once, at its first push, in CSR order") {
+    forSeeds(60) { s =>
+      val (g, alloc, util) = rePushInstance(s)
+      val live = HashedWorld.edgeLive(g, s) _
+      val calls = scala.collection.mutable.ArrayBuffer.empty[(Int, Int)]
+      val adoption = EpicSimulator.run(g, alloc, util, { (e, u) => calls += ((e, u)); live(e, u) })
+      val order = scala.collection.mutable.ArrayBuffer.empty[Int]
+      val expected = EpicReference.run(g, alloc, util, live, order += _)
+      assert(adoption.toSeq == expected.toSeq, s"seed=$s")
+      assert(calls == order.distinct.flatMap(u => (g.fwdOff(u) until g.fwdOff(u + 1)).map(e => (e, u))), s"seed=$s")
+    }
   }
 }

@@ -2,7 +2,7 @@ package repro.epic
 
 import org.scalatest.funsuite.AnyFunSuite
 
-import repro.SparkSpec
+import repro.{SparkSpec, TestInputs}
 import repro.graph.SocialGraph
 import repro.items._
 
@@ -19,8 +19,8 @@ class ModelPropertiesSpec extends AnyFunSuite with SparkSpec {
 
   test("Theorem 2: welfare is not submodular (single-node counterexample)") {
     // one node, two items: each alone negative, together positive
-    val g = SocialGraph.fromEdgesWithProb("1n", 1, Array.empty[(Int, Int, Double)])
-    val model = UtilityModel(Valuations.twoItem(1.0, 1.0, 5.0), Array(2.0, 2.0), NoiseSpec.none(2))
+    val g = TestInputs.fromEdgesWithProb("1n", 1, Array.empty[(Int, Int, Double)])
+    val model = UtilityModel(Valuations.twoItem(1.0, 1.0, 5.0), Array(2.0, 2.0), TestInputs.noNoise(2))
     val s = Map.empty[Int, Int]
     val sPrime = Map(0 -> 1) // (u, i1)
     val addI2 = 2
@@ -33,8 +33,8 @@ class ModelPropertiesSpec extends AnyFunSuite with SparkSpec {
 
   test("Theorem 2: welfare is not supermodular (two-node counterexample)") {
     // v1 -> v2 with p = 1, one item with positive utility
-    val g = SocialGraph.fromEdgesWithProb("2n", 2, Array((0, 1, 1.0)))
-    val model = UtilityModel(Valuations.additive(Array(3.0)), Array(1.0), NoiseSpec.none(1))
+    val g = TestInputs.fromEdgesWithProb("2n", 2, Array((0, 1, 1.0)))
+    val model = UtilityModel(Valuations.additive(Array(3.0)), Array(1.0), TestInputs.noNoise(1))
     val s = Map.empty[Int, Int]
     val sPrime = Map(0 -> 1) // (v1, i)
     val gainSmall = rho(g, model, Map(1 -> 1)) - rho(g, model, s) // add (v2, i) to empty
@@ -63,9 +63,9 @@ class ModelPropertiesSpec extends AnyFunSuite with SparkSpec {
   test("expected welfare generalises expected spread (single item, utility 1)") {
     // With one item of utility exactly 1 and every node seeded-or-reached
     // adopting, welfare == adoption count == spread.
-    val g = SocialGraph.fromEdgesWithProb("sp", 4,
+    val g = TestInputs.fromEdgesWithProb("sp", 4,
       Array((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)))
-    val model = UtilityModel(Valuations.additive(Array(2.0)), Array(1.0), NoiseSpec.none(1))
+    val model = UtilityModel(Valuations.additive(Array(2.0)), Array(1.0), TestInputs.noNoise(1))
     val est = Welfare.estimate(spark, g, Map(0 -> 1), model, runs = 4)
     assert(est.welfare == 4.0 && est.adoptions == 4.0)
   }

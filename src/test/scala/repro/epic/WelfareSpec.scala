@@ -2,8 +2,7 @@ package repro.epic
 
 import org.scalatest.funsuite.AnyFunSuite
 
-import repro.SparkSpec
-import repro.graph.SocialGraph
+import repro.{SparkSpec, TestInputs}
 import repro.items._
 
 class WelfareSpec extends AnyFunSuite with SparkSpec {
@@ -22,7 +21,7 @@ class WelfareSpec extends AnyFunSuite with SparkSpec {
   }
 
   test("estimate is deterministic in the seed") {
-    val chain = SocialGraph.fromEdges("chain", 3, Array((0, 1), (1, 2)))
+    val chain = TestInputs.fromEdges("chain", 3, Array((0, 1), (1, 2)))
     val m2 = UtilityModel(Valuations.twoItem(2, 2, 5), Array(1.0, 1.0), NoiseSpec.uniform(2, 1.0))
     val e1 = Welfare.estimate(spark, chain, Map(0 -> 3), m2, runs = 16, seed = 11)
     val e2 = Welfare.estimate(spark, chain, Map(0 -> 3), m2, runs = 16, seed = 11)
@@ -32,15 +31,15 @@ class WelfareSpec extends AnyFunSuite with SparkSpec {
   test("expected welfare on a single edge matches the closed form") {
     // one item, V=2, P=1 (U=1, no noise); edge prob 0.5:
     // E[welfare] = U(seed) + 0.5 * U = 1.5
-    val g2 = SocialGraph.fromEdgesWithProb("e", 2, Array((0, 1, 0.5)))
-    val m1 = UtilityModel(Valuations.additive(Array(2.0)), Array(1.0), NoiseSpec.none(1))
+    val g2 = TestInputs.fromEdgesWithProb("e", 2, Array((0, 1, 0.5)))
+    val m1 = UtilityModel(Valuations.additive(Array(2.0)), Array(1.0), TestInputs.noNoise(1))
     val est = Welfare.estimate(spark, g2, Map(0 -> 1), m1, runs = 4000, seed = 5)
     assert(math.abs(est.welfare - 1.5) < 0.05, s"got ${est.welfare}")
     assert(math.abs(est.adoptions - 1.5) < 0.05)
   }
 
   test("noise shifts realised welfare run-to-run but preserves the mean") {
-    val g2 = SocialGraph.fromEdgesWithProb("e", 1, Array.empty[(Int, Int, Double)])
+    val g2 = TestInputs.fromEdgesWithProb("e", 1, Array.empty[(Int, Int, Double)])
     val m1 = UtilityModel(Valuations.additive(Array(5.0)), Array(1.0), NoiseSpec.uniform(1, 1.0))
     val est = Welfare.estimate(spark, g2, Map(0 -> 1), m1, runs = 4000, seed = 9)
     // seed adopts iff 4 + N >= 0 (virtually always); E[U] = 4.

@@ -2,7 +2,7 @@ package repro.graph
 
 import org.scalatest.funsuite.AnyFunSuite
 
-import repro.SparkSpec
+import repro.{SparkSpec, TestInputs}
 
 class GraphGenSpec extends AnyFunSuite with SparkSpec {
 
@@ -37,13 +37,13 @@ class GraphGenSpec extends AnyFunSuite with SparkSpec {
 
   test("degree distribution is heavy-tailed (hubs exist)") {
     val g = GraphGen.powerLawDirected("d", 3000, 30000, seed = 4)
-    val degs = (0 until g.n).map(g.inDeg).sorted(Ordering[Int].reverse)
+    val degs = (0 until g.n).map(TestInputs.inDeg(g, _)).sorted(Ordering[Int].reverse)
     val avg = g.m.toDouble / g.n
     assert(degs.head > 8 * avg, s"max indeg ${degs.head} vs avg $avg")
   }
 
   test("uniformDirected produces requested edges for tests") {
-    val g = GraphGen.uniformDirected("t", 100, 400, seed = 2)
+    val g = TestInputs.uniformDirected("t", 100, 400, seed = 2)
     assert(g.n == 100 && g.m == 400)
   }
 

@@ -4,7 +4,8 @@ import java.util.SplittableRandom
 
 import org.scalatest.funsuite.AnyFunSuite
 
-import repro.Golden
+import repro.{Golden, TestInputs}
+import repro.TestInputs.{inDeg, outDeg}
 import repro.comic.ComicBaselines.{RRCimSampler, RRSimSampler}
 import repro.core.Configs
 import repro.epic.EpicSimulator
@@ -14,11 +15,11 @@ class SocialGraphSpec extends AnyFunSuite {
 
   // v0 -> v1, v0 -> v2, v1 -> v2, v2 -> v3
   private val edges = Array((0, 1), (0, 2), (1, 2), (2, 3))
-  private val g = SocialGraph.fromEdges("toy", 4, edges)
+  private val g = TestInputs.fromEdges("toy", 4, edges)
 
   test("CSR degrees") {
-    assert(g.outDeg(0) == 2 && g.outDeg(1) == 1 && g.outDeg(2) == 1 && g.outDeg(3) == 0)
-    assert(g.inDeg(0) == 0 && g.inDeg(1) == 1 && g.inDeg(2) == 2 && g.inDeg(3) == 1)
+    assert(outDeg(g, 0) == 2 && outDeg(g, 1) == 1 && outDeg(g, 2) == 1 && outDeg(g, 3) == 0)
+    assert(inDeg(g, 0) == 0 && inDeg(g, 1) == 1 && inDeg(g, 2) == 2 && inDeg(g, 3) == 1)
     assert(g.m == 4)
   }
 
@@ -32,16 +33,16 @@ class SocialGraphSpec extends AnyFunSuite {
   test("weighted cascade: p(u,v) = 1/indeg(v)") {
     for (u <- 0 until g.n; e <- g.fwdOff(u) until g.fwdOff(u + 1)) {
       val v = g.fwdDst(e)
-      assert(g.fwdP(e) == 1.0 / g.inDeg(v))
+      assert(g.fwdP(e) == 1.0 / inDeg(g, v))
     }
     for (v <- 0 until g.n; e <- g.revOff(v) until g.revOff(v + 1)) {
-      assert(g.revP(e, v) == 1.0 / g.inDeg(v))
+      assert(g.revP(e, v) == 1.0 / inDeg(g, v))
     }
     assert(g.fwdProb.isEmpty && g.revProb.isEmpty && g.wcProb.length == g.n)
   }
 
   test("explicit probabilities are preserved") {
-    val g2 = SocialGraph.fromEdgesWithProb("p", 3, Array((0, 1, 0.25), (1, 2, 0.75)))
+    val g2 = TestInputs.fromEdgesWithProb("p", 3, Array((0, 1, 0.25), (1, 2, 0.75)))
     assert(g2.fwdProb.toSeq.sorted == Seq(0.25, 0.75))
     assert(g2.revProb.toSeq.sorted == Seq(0.25, 0.75))
     assert(g2.wcProb.isEmpty)
@@ -51,18 +52,18 @@ class SocialGraphSpec extends AnyFunSuite {
 
   test("explicit probabilities outside [0, 1] or NaN rejected") {
     for (p <- Seq(1.5, -0.1, Double.NaN))
-      intercept[IllegalArgumentException](SocialGraph.fromEdgesWithProb("x", 2, Array((0, 1, 1.0), (1, 0, p))))
-    assert(SocialGraph.fromEdgesWithProb("x", 2, Array((0, 1, 0.0), (1, 0, 1.0))).m == 2)
+      intercept[IllegalArgumentException](TestInputs.fromEdgesWithProb("x", 2, Array((0, 1, 1.0), (1, 0, p))))
+    assert(TestInputs.fromEdgesWithProb("x", 2, Array((0, 1, 0.0), (1, 0, 1.0))).m == 2)
   }
 
   test("weighted cascade per node and the same 1/indeg per arc draw identical samples") {
     val gens = Seq(GraphGen.powerLawDirected("wc-d", 1500, 12000, seed = 8),
       GraphGen.powerLawUndirected("wc-u", 1200, 5000, seed = 9))
     for (gen <- gens) {
-      val src = Array.tabulate(gen.n)(u => Array.fill(gen.outDeg(u))(u)).flatten
+      val src = Array.tabulate(gen.n)(u => Array.fill(outDeg(gen, u))(u)).flatten
       val dst = gen.fwdDst
       val wc = SocialGraph.fromArcs(gen.name, gen.n, src, dst, None, gen.undirected)
-      val ex = SocialGraph.fromArcs(gen.name, gen.n, src, dst, Some(dst.map(v => 1.0 / gen.inDeg(v))), gen.undirected)
+      val ex = SocialGraph.fromArcs(gen.name, gen.n, src, dst, Some(dst.map(v => 1.0 / inDeg(gen, v))), gen.undirected)
       assert(wc.fwdProb.isEmpty && ex.fwdProb.length == dst.length)
 
       val hubs = Golden.hubs(gen, 10)
@@ -88,12 +89,12 @@ class SocialGraphSpec extends AnyFunSuite {
   }
 
   test("out-of-range edges rejected") {
-    intercept[IllegalArgumentException](SocialGraph.fromEdges("bad", 2, Array((0, 5))))
+    intercept[IllegalArgumentException](TestInputs.fromEdges("bad", 2, Array((0, 5))))
   }
 
   test("avgDegree: directed = m/n; undirected counts each pair once") {
     assert(math.abs(g.avgDegree - 1.0) < 1e-12)
-    val ug = SocialGraph.fromEdges("u", 2, Array((0, 1), (1, 0)), undirected = true)
+    val ug = TestInputs.fromEdges("u", 2, Array((0, 1), (1, 0)), undirected = true)
     assert(math.abs(ug.avgDegree - 1.0) < 1e-12)
   }
 }

@@ -4,7 +4,7 @@ import java.util.SplittableRandom
 
 import org.scalatest.funsuite.AnyFunSuite
 
-import repro.ReverseBfs
+import repro.{ReverseBfs, TestInputs}
 import repro.Threads.{onFourThreads, onNewThread}
 import repro.graph.{GraphGen, SocialGraph}
 
@@ -17,7 +17,7 @@ import repro.graph.{GraphGen, SocialGraph}
 class ICRRSamplerSpec extends AnyFunSuite {
 
   private lazy val big = GraphGen.powerLawDirected("ic-big", 2000, 16000, seed = 5)
-  private lazy val small = GraphGen.uniformDirected("ic-small", 60, 400, seed = 7)
+  private lazy val small = TestInputs.uniformDirected("ic-small", 60, 400, seed = 7)
 
   /** 400 nodes, explicit probabilities: a quarter of the arcs have p = 0,
     * a twelfth p = 1 and the rest a random p below 0.25; 300 arcs appear

@@ -6,7 +6,7 @@ import scala.collection.mutable.ArrayBuffer
 
 import org.scalatest.funsuite.AnyFunSuite
 
-import repro.SparkSpec
+import repro.{SparkSpec, TestInputs}
 import repro.graph.{GraphGen, SocialGraph}
 
 class PRIMMSpec extends AnyFunSuite with SparkSpec {
@@ -19,19 +19,19 @@ class PRIMMSpec extends AnyFunSuite with SparkSpec {
   }
 
   test("budgets must be sorted non-increasingly") {
-    val g = GraphGen.uniformDirected("t", 20, 60, seed = 1)
+    val g = TestInputs.uniformDirected("t", 20, 60, seed = 1)
     intercept[IllegalArgumentException](PRIMM.run(spark, g, Seq(1, 3)))
   }
 
   test("budgets below 1 are rejected with a message") {
-    val g = GraphGen.uniformDirected("t", 20, 60, seed = 1)
+    val g = TestInputs.uniformDirected("t", 20, 60, seed = 1)
     val e = intercept[IllegalArgumentException](PRIMM.run(spark, g, Seq(3, 0)))
     assert(e.getMessage.contains("each at least 1, got 3,0"))
   }
 
   test("a one-node graph is rejected") {
     // ln n = 0 makes PRIMM's sample-size bounds NaN
-    val g = SocialGraph.fromEdges("one", 1, Array.empty[(Int, Int)])
+    val g = TestInputs.fromEdges("one", 1, Array.empty[(Int, Int)])
     intercept[IllegalArgumentException](PRIMM.run(spark, g, Seq(1)))
   }
 
@@ -45,7 +45,7 @@ class PRIMMSpec extends AnyFunSuite with SparkSpec {
     (14 to 22).foreach(v => edges += ((13, v, 1.0)))
     (24 to 29).foreach(v => edges += ((23, v, 1.0)))
     (30 until 39).foreach(v => edges += ((v, v + 1, 1.0)))
-    SocialGraph.fromEdgesWithProb("det", 40, edges.toArray)
+    TestInputs.fromEdgesWithProb("det", 40, edges.toArray)
   }
 
   private def reachSets(g: SocialGraph): Array[Set[Int]] =

@@ -4,14 +4,13 @@ import java.util.SplittableRandom
 
 import org.scalatest.funsuite.AnyFunSuite
 
-import repro.{PropHelpers, SparkSpec}
+import repro.{PropHelpers, SparkSpec, TestInputs}
 import repro.exec.SeededBatch
-import repro.graph.SocialGraph
 
 class RRSetsSpec extends AnyFunSuite with SparkSpec with PropHelpers {
 
   // deterministic chain 0 -> 1 -> 2 -> 3 with p = 1
-  private val chain = SocialGraph.fromEdgesWithProb("chain", 4,
+  private val chain = TestInputs.fromEdgesWithProb("chain", 4,
     Array((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)))
 
   test("with p=1 an RR set is the full ancestor set of its root") {
@@ -24,7 +23,7 @@ class RRSetsSpec extends AnyFunSuite with SparkSpec with PropHelpers {
   }
 
   test("with p=0 an RR set is just the root") {
-    val g0 = SocialGraph.fromEdgesWithProb("z", 3, Array((0, 1, 0.0), (1, 2, 0.0)))
+    val g0 = TestInputs.fromEdgesWithProb("z", 3, Array((0, 1, 0.0), (1, 2, 0.0)))
     val sampler = new ICRRSampler(g0)
     forSeeds(10) { s =>
       assert(sampler.sample(new SplittableRandom(s)).length == 1)
@@ -32,7 +31,7 @@ class RRSetsSpec extends AnyFunSuite with SparkSpec with PropHelpers {
   }
 
   test("RR sets contain no duplicates") {
-    val g = repro.graph.GraphGen.uniformDirected("t", 50, 300, seed = 3)
+    val g = TestInputs.uniformDirected("t", 50, 300, seed = 3)
     val sampler = new ICRRSampler(g)
     forSeeds(30) { s =>
       val rr = sampler.sample(new SplittableRandom(s))
@@ -44,7 +43,7 @@ class RRSetsSpec extends AnyFunSuite with SparkSpec with PropHelpers {
     // star: center 0 points to leaves 1..10 with p=1. sigma({0}) = 11,
     // sigma(leaf) = 1. Node 0 appears in every RR set; leaves only in
     // their own.
-    val star = SocialGraph.fromEdgesWithProb("star", 11,
+    val star = TestInputs.fromEdgesWithProb("star", 11,
       (1 to 10).map(l => (0, l, 1.0)).toArray)
     val sampler = new ICRRSampler(star)
     val rng = new SplittableRandom(2)
@@ -56,7 +55,7 @@ class RRSetsSpec extends AnyFunSuite with SparkSpec with PropHelpers {
   }
 
   test("distributed generation is deterministic and matches per-id seeding") {
-    val g = repro.graph.GraphGen.uniformDirected("t", 40, 200, seed = 9)
+    val g = TestInputs.uniformDirected("t", 40, 200, seed = 9)
     val sampler = new ICRRSampler(g)
     val a = RRSets.generate(spark, sampler, count = 50, seed = 123, offset = 0)
     val b = RRSets.generate(spark, sampler, count = 50, seed = 123, offset = 0)
@@ -67,7 +66,7 @@ class RRSetsSpec extends AnyFunSuite with SparkSpec with PropHelpers {
   }
 
   test("offset continues the id stream without overlap") {
-    val g = repro.graph.GraphGen.uniformDirected("t", 40, 200, seed = 9)
+    val g = TestInputs.uniformDirected("t", 40, 200, seed = 9)
     val sampler = new ICRRSampler(g)
     val first = RRSets.generate(spark, sampler, count = 10, seed = 5, offset = 0)
     val second = RRSets.generate(spark, sampler, count = 10, seed = 5, offset = 10)
@@ -82,7 +81,7 @@ class RRSetsSpec extends AnyFunSuite with SparkSpec with PropHelpers {
   }
 
   test("calls sharing one broadcast match calls that broadcast their own") {
-    val g = repro.graph.GraphGen.uniformDirected("t", 40, 200, seed = 9)
+    val g = TestInputs.uniformDirected("t", 40, 200, seed = 9)
     val sampler = new ICRRSampler(g)
     val shared = SeededBatch.run(spark, sampler, 5L)(_.sample(_))(draw => draw(0, 10) ++ draw(10, 10))
     val own = RRSets.generate(spark, sampler, count = 20, seed = 5, offset = 0)

@@ -4,7 +4,7 @@ import java.util.SplittableRandom
 
 import org.scalatest.funsuite.AnyFunSuite
 
-import repro.PropHelpers
+import repro.{PropHelpers, TestInputs}
 
 class AdoptionSpec extends AnyFunSuite with PropHelpers {
 
@@ -13,7 +13,7 @@ class AdoptionSpec extends AnyFunSuite with PropHelpers {
     */
   val exampleUtil: Array[Double] = {
     val values = Array(0.0, 1.0, 1.0, 5.0, 1.0, 5.0, 3.0, 9.0)
-    UtilityModel(values, Array(2.0, 2.0, 2.0), NoiseSpec.none(3)).deterministicUtility
+    UtilityModel(values, Array(2.0, 2.0, 2.0), TestInputs.noNoise(3)).deterministicUtility
   }
 
   test("Example 1 utility table has the paper's signs") {
@@ -72,7 +72,7 @@ class AdoptionSpec extends AnyFunSuite with PropHelpers {
   test("tie-break favours larger cardinality (union of argmaxes, Lemma 2)") {
     // Additive utility where item 2 has utility exactly 0: both {i1} and
     // {i1,i2} are argmax -> adopt the union {i1,i2}.
-    val m = UtilityModel(Valuations.additive(Array(2.0, 1.0)), Array(1.0, 1.0), NoiseSpec.none(2))
+    val m = UtilityModel(Valuations.additive(Array(2.0, 1.0)), Array(1.0, 1.0), TestInputs.noNoise(2))
     val util = m.deterministicUtility
     assert(util(1) == 1.0 && util(3) == 1.0)
     assert(Adoption.adopt(util, 3, 0) == 3)
@@ -200,6 +200,6 @@ class AdoptionSpec extends AnyFunSuite with PropHelpers {
     val prices = Array.fill(k)(0.5 + rng.nextDouble() * 4.0)
     val v = LevelWiseValuation.build(k, prices, rng.nextLong())
     val noise = Array.fill(k)(rng.nextGaussian() * 1.5)
-    UtilityModel(v, prices, NoiseSpec.none(k)).utilityTable(noise)
+    UtilityModel(v, prices, TestInputs.noNoise(k)).utilityTable(noise)
   }
 }

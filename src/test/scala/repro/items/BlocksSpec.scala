@@ -4,7 +4,7 @@ import java.util.SplittableRandom
 
 import org.scalatest.funsuite.AnyFunSuite
 
-import repro.PropHelpers
+import repro.{PropHelpers, TestInputs}
 
 class BlocksSpec extends AnyFunSuite with PropHelpers {
 
@@ -153,7 +153,7 @@ class BlocksSpec extends AnyFunSuite with PropHelpers {
     val prices = Array.fill(k)(0.5 + rng.nextDouble() * 4.0)
     val v = LevelWiseValuation.build(k, prices, rng.nextLong())
     val noise = Array.fill(k)(rng.nextGaussian() * 2.0)
-    val util = UtilityModel(v, prices, NoiseSpec.none(k)).utilityTable(noise)
+    val util = UtilityModel(v, prices, TestInputs.noNoise(k)).utilityTable(noise)
     val budgets = Array.fill(k)(1 + rng.nextInt(100))
     (util, budgets)
   }

@@ -4,7 +4,7 @@ import java.util.SplittableRandom
 
 import org.scalatest.funsuite.AnyFunSuite
 
-import repro.PropHelpers
+import repro.{PropHelpers, TestInputs}
 
 class UtilityModelSpec extends AnyFunSuite with PropHelpers {
 
@@ -22,7 +22,7 @@ class UtilityModelSpec extends AnyFunSuite with PropHelpers {
     intercept[IllegalArgumentException](Valuations.tabulate(21)(_ => 0.0))
     // and by the model, whatever table it is given
     intercept[IllegalArgumentException] {
-      UtilityModel(Array(0.0, 1.0), Array.fill(21)(1.0), NoiseSpec.none(21))
+      UtilityModel(Array(0.0, 1.0), Array.fill(21)(1.0), TestInputs.noNoise(21))
     }
   }
 
@@ -68,7 +68,7 @@ class UtilityModelSpec extends AnyFunSuite with PropHelpers {
   }
 
   test("NoiseSpec.none produces the deterministic table") {
-    val m = model.copy(noise = NoiseSpec.none(2))
+    val m = model.copy(noise = TestInputs.noNoise(2))
     val rng = new SplittableRandom(3)
     assert(m.sampleUtilityTable(rng).toSeq == m.deterministicUtility.toSeq)
   }
@@ -93,7 +93,7 @@ class UtilityModelSpec extends AnyFunSuite with PropHelpers {
 
   test("model validates dimension agreement") {
     intercept[IllegalArgumentException] {
-      UtilityModel(Valuations.twoItem(1, 1, 3), Array(1.0), NoiseSpec.none(2))
+      UtilityModel(Valuations.twoItem(1, 1, 3), Array(1.0), TestInputs.noNoise(2))
     }
   }
 }

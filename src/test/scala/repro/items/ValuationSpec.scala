@@ -4,7 +4,7 @@ import java.util.SplittableRandom
 
 import org.scalatest.funsuite.AnyFunSuite
 
-import repro.PropHelpers
+import repro.{PropHelpers, TestInputs}
 
 class ValuationSpec extends AnyFunSuite with PropHelpers {
 
@@ -42,7 +42,7 @@ class ValuationSpec extends AnyFunSuite with PropHelpers {
     val k = 5; val core = 2
     val v = Valuations.cone(k, core)
     val prices = Array.fill(k)(1.0)
-    val m = UtilityModel(v, prices, NoiseSpec.none(k))
+    val m = UtilityModel(v, prices, TestInputs.noNoise(k))
     val det = m.deterministicUtility
     for (mask <- 1 until (1 << k)) {
       val s = Integer.bitCount(mask)
@@ -52,9 +52,9 @@ class ValuationSpec extends AnyFunSuite with PropHelpers {
   }
 
   test("TableValuation rejects non-power-of-two tables and nonzero V(empty)") {
-    intercept[IllegalArgumentException](UtilityModel(Array(0.0, 1.0, 2.0), Array(1.0, 1.0), NoiseSpec.none(2)))
-    intercept[IllegalArgumentException](UtilityModel(Array(0.0, 1.0, 2.0), Array(1.0), NoiseSpec.none(1)))
-    intercept[IllegalArgumentException](UtilityModel(Array(1.0, 1.0), Array(1.0), NoiseSpec.none(1)))
+    intercept[IllegalArgumentException](UtilityModel(Array(0.0, 1.0, 2.0), Array(1.0, 1.0), TestInputs.noNoise(2)))
+    intercept[IllegalArgumentException](UtilityModel(Array(0.0, 1.0, 2.0), Array(1.0), TestInputs.noNoise(1)))
+    intercept[IllegalArgumentException](UtilityModel(Array(1.0, 1.0), Array(1.0), TestInputs.noNoise(1)))
   }
 
   test("LevelWiseValuation (Config 10) is well-defined, monotone and supermodular across seeds") {
