@@ -4,6 +4,7 @@ import java.util.SplittableRandom
 
 import org.apache.spark.sql.SparkSession
 
+import repro.exec.NodeMarks
 import repro.graph.SocialGraph
 import repro.im.{PRIMM, RRSampler}
 import repro.im.RRSets.hash01
@@ -41,7 +42,7 @@ object ComicBaselines {
   private[comic] def adoptsInSpread(g: SocialGraph, w: Long, isSeed: Array[Boolean],
                                     q: Int => Double, salt: Long)(u: Int): Boolean = {
     def passes(v: Int): Boolean = hash01(w, v.toLong, salt) < q(v)
-    passes(u) && search(g, w, u, queryScratch.get, passes, isSeed) < 0
+    passes(u) && search(g, w, u, queryMarks, passes, isSeed) == null
   }
 
   /** Reverse BFS from `root` over live edges, passing only through nodes
@@ -51,71 +52,46 @@ object ComicBaselines {
   private[comic] def reverseAdoptingSet(g: SocialGraph, w: Long, root: Int,
                                         adopts: Int => Boolean): Array[Int] =
     if (!adopts(root)) Array.empty
-    else {
-      val s = walkScratch.get
-      val size = search(g, w, root, s, adopts, null)
-      // read the queue only now: the search may have grown it
-      java.util.Arrays.copyOf(s.queue, size)
-    }
+    else search(g, w, root, walkMarks, adopts, null)
 
-  /** Per-thread working memory of one reverse search: one visited flag per
-    * node (all false between calls; grown when a larger graph comes), the
-    * BFS queue (grown on demand) and whether a search is using it.
-    */
-  private final class Scratch {
-    var seen = new Array[Boolean](0)
-    var queue = new Array[Int](64)
-    var busy = false
-  }
-  // One scratch for walks and one for queries, since RR-SIM+'s walk
-  // predicate asks adoption queries.
-  private val walkScratch = ThreadLocal.withInitial[Scratch](() => new Scratch)
-  private val queryScratch = ThreadLocal.withInitial[Scratch](() => new Scratch)
+  // Per-thread visited nodes of one search, which are also its queue: one
+  // set for walks and one for queries, since RR-SIM+'s walk predicate asks
+  // adoption queries.
+  private val walkMarks = ThreadLocal.withInitial[NodeMarks](() => new NodeMarks)
+  private val queryMarks = ThreadLocal.withInitial[NodeMarks](() => new NodeMarks)
 
-  /** The reverse BFS of both, in scratch `s`: from `root`, expanding node
-    * `v`, its in-edges `e` are scanned in reverse-CSR order and the tail `t`
-    * is added iff `!seen(t) && edgeLive(..) && through(t)`, tested in that
-    * order. Returns the number of nodes visited (left in `s.queue`, `root`
-    * first), or -1 once a visited node is flagged in `stop` (null for a
-    * walk that never stops). The visited flags are cleared through the
-    * visited nodes, so concurrent searches on different threads are
-    * independent; `through` may not start a search in the same scratch.
+  /** The reverse BFS of both, in this thread's `marks`: from `root`,
+    * expanding node `v`, its in-edges `e` are scanned in reverse-CSR order
+    * and the tail `t` is added iff `!seen.has(t) && edgeLive(..) && through(t)`,
+    * tested in that order. Returns null once a visited node is flagged in
+    * `stop`; otherwise the visited nodes, `root` first, for a walk (`stop`
+    * null) and an empty array for a query. `through` may not start a search
+    * in the same marks.
     */
-  private def search(g: SocialGraph, w: Long, root: Int, s: Scratch, through: Int => Boolean,
-                     stop: Array[Boolean]): Int = {
-    require(!s.busy, "reverse search re-entered from its own predicate")
-    if (s.seen.length < g.n) s.seen = new Array[Boolean](g.n)
-    val seen = s.seen
-    var queue = s.queue
-    queue(0) = root
-    seen(root) = true
-    s.busy = true
-    var size = 1
+  private def search(g: SocialGraph, w: Long, root: Int, marks: ThreadLocal[NodeMarks],
+                     through: Int => Boolean, stop: Array[Boolean]): Array[Int] = {
+    val seen = marks.get.acquire(g.n, "reverse search re-entered from its own predicate")
     try {
+      seen.add(root)
       var found = stop != null && stop(root)
       var head = 0
-      while (head < size && !found) {
-        val v = queue(head)
+      while (head < seen.size && !found) {
+        val v = seen(head)
         var e = g.revOff(v)
         val end = g.revOff(v + 1)
+        seen.reserve(end - e)
         while (e < end && !found) {
           val t = g.revSrc(e)
-          if (!seen(t) && edgeLive(g, w, t, v, g.revP(e, v)) && through(t)) {
-            if (size == queue.length) { queue = java.util.Arrays.copyOf(queue, size * 2); s.queue = queue }
-            queue(size) = t; size += 1
-            seen(t) = true
+          if (!seen.has(t) && edgeLive(g, w, t, v, g.revP(e, v)) && through(t)) {
+            seen.add(t)
             found = stop != null && stop(t)
           }
           e += 1
         }
         head += 1
       }
-      if (found) -1 else size
-    } finally {
-      var i = 0
-      while (i < size) { seen(queue(i)) = false; i += 1 }
-      s.busy = false
-    }
+      if (found) null else if (stop == null) seen.toArray else Array.emptyIntArray
+    } finally seen.release()
   }
 
   /** Seed flags per node of `g`; every seed must be a node of `g`. */

@@ -2,6 +2,7 @@ package repro.epic
 
 import java.util.SplittableRandom
 
+import repro.exec.NodeMarks
 import repro.graph.SocialGraph
 import repro.items.Adoption
 
@@ -19,17 +20,14 @@ import repro.items.Adoption
   */
 object EpicSimulator {
 
-  /** Per-thread working memory of one diffusion: a touched flag per node
-    * (all false between calls), the frontier and the touched list, `n`
-    * entries each and grown when a larger graph comes, and the live-head
-    * buffer, grown as pushes need it.
+  /** Per-thread working memory of one diffusion: the nodes touched this
+    * round, the frontier (`n` entries) and the live-head buffer, each grown
+    * as needed. Holding `touched` holds the other two.
     */
   private final class Scratch {
-    var inTouched = new Array[Boolean](0)
+    val touched = new NodeMarks
     var front = new Array[Int](0)
-    var touched = new Array[Int](0)
     var heads = new Array[Int](0)
-    var busy = false
   }
   private val scratch = ThreadLocal.withInitial[Scratch](() => new Scratch)
 
@@ -54,41 +52,34 @@ object EpicSimulator {
     *
     * The kept heads of every pushed node lie in one per-thread buffer, a
     * count followed by the heads, found through a per-world offset per
-    * node. The frontier, the touched list and the touched flags live in
-    * per-thread scratch arrays too, and the flags are cleared even when
-    * `testEdge` throws, so concurrent calls on different threads are
-    * independent. `testEdge` must not start a diffusion: a nested call on
-    * the same thread throws.
+    * node. Calls on different threads are independent, also after
+    * `testEdge` throws; a nested call on the same thread throws.
     */
   private[epic] def run(g: SocialGraph, alloc: Map[Int, Int], util: Array[Double],
                         testEdge: (Int, Int) => Boolean): Array[Int] = {
     val s = scratch.get
-    require(!s.busy, "EpicSimulator.run re-entered from its edge test")
-    if (s.inTouched.length < g.n) {
-      s.inTouched = new Array[Boolean](g.n); s.front = new Array[Int](g.n); s.touched = new Array[Int](g.n)
-    }
-    val inTouched = s.inTouched
-    val front = s.front
-    val touched = s.touched
     var heads = s.heads
     val desire = new Array[Int](g.n)
     val adoption = new Array[Int](g.n)
     // 1 + the offset in `heads` of node u's live-head count; 0 before u's first push.
     val liveAt = new Array[Int](g.n)
     val adopt = Adoption.inWorld(util)
+    val touched = s.touched.acquire(g.n, "EpicSimulator.run re-entered from its edge test")
     // A node re-runs the adoption rule on its desire set; true iff it grew.
     def settle(v: Int): Boolean = {
       val a = adopt(desire(v), adoption(v))
       a != adoption(v) && { adoption(v) = a; true }
     }
-    // Adoption `a` reaches `v` over a live edge; true iff `v` is first touched this round.
-    def offer(v: Int, a: Int): Boolean =
-      (a & ~desire(v)) != 0 && { desire(v) |= a; !inTouched(v) && { inTouched(v) = true; true } }
+    // Adoption `a` reaches `v` over a live edge; `v` is touched if `a` adds to its desire set.
+    def offer(v: Int, a: Int): Unit =
+      if ((a & ~desire(v)) != 0) { desire(v) |= a; if (!touched.has(v)) touched.add(v) }
     var size = 0
-    var nTouched = 0
     var nHeads = 0
-    s.busy = true
     try {
+      // A round touches each node at most once; reserving n keeps growth out of the push loops.
+      touched.reserve(g.n)
+      if (s.front.length < g.n) s.front = new Array[Int](g.n)
+      val front = s.front
       // t = 1: seeds desire their allocation and settle.
       val seeds = alloc.iterator
       while (seeds.hasNext) {
@@ -116,7 +107,7 @@ object EpicSimulator {
               if (testEdge(e, u)) {
                 val v = g.fwdDst(e)
                 heads(nHeads) = v; nHeads += 1
-                if (offer(v, aU)) { touched(nTouched) = v; nTouched += 1 }
+                offer(v, aU)
               }
               e += 1
             }
@@ -126,8 +117,7 @@ object EpicSimulator {
             var j = liveAt(u)
             val end = j + heads(j - 1)
             while (j < end) {
-              val v = heads(j)
-              if (offer(v, aU)) { touched(nTouched) = v; nTouched += 1 }
+              offer(heads(j), aU)
               j += 1
             }
           }
@@ -136,19 +126,14 @@ object EpicSimulator {
         // The frontier has been read: the next one (a subset of the touched nodes) overwrites it.
         size = 0
         i = 0
-        while (i < nTouched) {
+        while (i < touched.size) {
           val v = touched(i)
-          inTouched(v) = false
           if (settle(v)) { front(size) = v; size += 1 }
           i += 1
         }
-        nTouched = 0
+        touched.clear()
       }
-    } finally {
-      var i = 0
-      while (i < nTouched) { inTouched(touched(i)) = false; i += 1 }
-      s.busy = false
-    }
+    } finally touched.release()
     adoption
   }
 

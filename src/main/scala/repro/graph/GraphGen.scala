@@ -42,24 +42,23 @@ object GraphGen {
     * permutations for source and destination so that high out-degree and
     * high in-degree hubs are not the same nodes by construction.
     */
-  def powerLawDirected(name: String, n: Int, targetEdges: Int, seed: Long = 7): SocialGraph = {
-    val rng = new SplittableRandom(seed)
-    val cum = cumWeights(n)
-    val permSrc = permutation(n, new SplittableRandom(seed ^ 0x9E3779B97F4A7C15L))
-    val permDst = permutation(n, new SplittableRandom(seed ^ 0xC2B2AE3D27D4EB4FL))
-    distinctArcs(name, n, targetEdges, targetEdges.toLong * 20, undirected = false)(
-      permSrc(draw(cum, rng)), permDst(draw(cum, rng)))
-  }
+  def powerLawDirected(name: String, n: Int, targetEdges: Int, seed: Long = 7): SocialGraph =
+    powerLaw(name, n, targetEdges, seed, undirected = false)
 
   /** Generate an undirected power-law graph: `targetEdges` unique pairs,
     * stored as both directions (so the CSR holds `2*targetEdges` arcs).
     */
-  def powerLawUndirected(name: String, n: Int, targetEdges: Int, seed: Long = 7): SocialGraph = {
+  def powerLawUndirected(name: String, n: Int, targetEdges: Int, seed: Long = 7): SocialGraph =
+    powerLaw(name, n, targetEdges, seed, undirected = true)
+
+  /** Both generators: an undirected graph maps destinations through the source permutation too. */
+  private def powerLaw(name: String, n: Int, targetEdges: Int, seed: Long, undirected: Boolean): SocialGraph = {
     val rng = new SplittableRandom(seed)
     val cum = cumWeights(n)
-    val perm = permutation(n, new SplittableRandom(seed ^ 0x9E3779B97F4A7C15L))
-    distinctArcs(name, n, targetEdges, targetEdges.toLong * 20, undirected = true)(
-      perm(draw(cum, rng)), perm(draw(cum, rng)))
+    val permSrc = permutation(n, new SplittableRandom(seed ^ 0x9E3779B97F4A7C15L))
+    val permDst = if (undirected) permSrc else permutation(n, new SplittableRandom(seed ^ 0xC2B2AE3D27D4EB4FL))
+    distinctArcs(name, n, targetEdges, targetEdges.toLong * 20, undirected)(
+      permSrc(draw(cum, rng)), permDst(draw(cum, rng)))
   }
 
   /** The generators' one draw loop: evaluates `src` then `dst` per attempt

@@ -4,7 +4,7 @@ import java.util.SplittableRandom
 
 import org.apache.spark.sql.SparkSession
 
-import repro.exec.SeededBatch
+import repro.exec.{NodeMarks, SeededBatch}
 import repro.graph.SocialGraph
 
 /** A reverse-reachable set sampler. Implementations: plain IC (weighted
@@ -27,19 +27,8 @@ final class ICRRSampler(g: SocialGraph) extends RRSampler {
 
 object ICRRSampler {
 
-  /** Per-thread working memory of one reverse BFS: one visited flag per
-    * node (all false between calls; grown when a larger graph comes), the
-    * BFS queue (grown on demand) and whether a draw is using it. No callback
-    * can re-enter the loop, but the guard stays: without it greedyWM's
-    * Twitter stand-in cell read 1.5% slower on a 4-vCPU host, in 12 of 12
-    * alternating pairs.
-    */
-  private final class Scratch {
-    var seen = new Array[Boolean](0)
-    var queue = new Array[Int](64)
-    var busy = false
-  }
-  private val scratch = ThreadLocal.withInitial[Scratch](() => new Scratch)
+  /** Per-thread visited nodes of one reverse BFS, which are also its queue. */
+  private val marks = ThreadLocal.withInitial[NodeMarks](() => new NodeMarks)
   private val TwoTo53 = (1L << 53).toDouble
 
   /** The IC RR set of `root`: the nodes that reach `root` over live reverse
@@ -60,44 +49,31 @@ object ICRRSampler {
     * through it, and 0.66 s in this loop either way.
     */
   private def reach(g: SocialGraph, root: Int, rng: SplittableRandom): Array[Int] = {
-    val s = scratch.get
-    require(!s.busy, "ICRRSampler.reach re-entered")
-    if (s.seen.length < g.n) s.seen = new Array[Boolean](g.n)
-    val seen = s.seen
+    val seen = marks.get.acquire(g.n, "ICRRSampler.reach re-entered")
     val revOff = g.revOff
     val revSrc = g.revSrc
     val revProb = g.revProb
     val wcProb = g.wcProb
     val wc = wcProb.length > 0
-    var queue = s.queue
-    queue(0) = root
-    seen(root) = true
-    s.busy = true
-    var size = 1
     try {
+      seen.add(root)
       var head = 0
-      while (head < size) {
-        val w = queue(head)
+      while (head < seen.size) {
+        val w = seen(head)
         val nodeThreshold = if (wc) coinThreshold(wcProb(w)) else 0L
         var e = revOff(w)
         val end = revOff(w + 1)
+        seen.reserve(end - e)
         while (e < end) {
           val u = revSrc(e)
-          if (!seen(u) && (rng.nextLong() >>> 11) < (if (wc) nodeThreshold else coinThreshold(revProb(e)))) {
-            if (size == queue.length) { queue = java.util.Arrays.copyOf(queue, size * 2); s.queue = queue }
-            queue(size) = u; size += 1
-            seen(u) = true
-          }
+          if (!seen.has(u) && (rng.nextLong() >>> 11) < (if (wc) nodeThreshold else coinThreshold(revProb(e))))
+            seen.add(u)
           e += 1
         }
         head += 1
       }
-      java.util.Arrays.copyOf(queue, size)
-    } finally {
-      var i = 0
-      while (i < size) { seen(queue(i)) = false; i += 1 }
-      s.busy = false
-    }
+      seen.toArray
+    } finally seen.release()
   }
 
   /** `ceil(p * 2^53)`: a 53-bit draw `x` has `x * 2^-53 < p` iff `x` is

@@ -1,7 +1,6 @@
 package repro
 
 import org.apache.spark.sql.SparkSession
-import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.jobs.JobSession
@@ -12,10 +11,8 @@ import repro.jobs.JobSession
   * SPARK_DRIVER_MEM (48g when unset); the verify command in ROADMAP.md
   * passes half of the host's `MemTotal`, clamped to 2–8g.
   */
-trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
+trait SparkSpec extends AnyFunSuite {
   lazy val spark: SparkSession = SparkSpec.shared
-
-  override def afterAll(): Unit = { super.afterAll() }
 }
 
 object SparkSpec {
