@@ -33,9 +33,11 @@ object Fig3TwoItemWelfare {
     else Seq(30, 50, 70, 90, 110).map(Configs.nonUniformTwoItem)
 
   /** Per configuration of `nos`, welfare per budget pair of `grid` for its
-    * budget regime. Gates: greedyWM within 0.9 of the best baseline at every
-    * budget pair; under configuration 2 at 70/70, item-disj below half of
-    * greedyWM.
+    * budget regime, each cell as mean ± stderr with greedyWM's paired z
+    * against each baseline. Gates: greedyWM within 0.9 of the best baseline
+    * at every budget pair, and no baseline above it by more than 3 paired
+    * standard errors; under configuration 2 at 70/70, item-disj below half
+    * of greedyWM.
     */
   def run(spark: SparkSession, g: SocialGraph, nos: Seq[Int],
           grid: Boolean => Seq[Array[Int]] = budgetGrid, runs: Int = mcRuns): Seq[Table] = {
@@ -44,16 +46,17 @@ object Fig3TwoItemWelfare {
     val tables = welfareTables(spark, g, twoItemAlgos, runs)(
       cfgs.map(cfg => grid(cfg.uniformBudgets).map(b => (b.mkString("/"), cfg, b))))
     cfgs.zip(tables).map { case (cfg, rows) =>
-      val cells = rows.map { case (cell, w) => cell -> twoItemAlgos.zip(w).toMap }
+      val cells = rows.map { case (cell, ests) => cell -> twoItemAlgos.zip(ests.map(_.welfare)).toMap }
+      val paired = rows.map { case (cell, ests) => pairedRow(s"budgets $cell", twoItemAlgos, ests) }
       val failed = unmet(cells.map { case (cell, w) =>
         val best = twoItemAlgos.tail.map(w).max
         (w(AlgoGreedyWM) >= 0.9 * best) -> s"budgets $cell: greedyWM ${w(AlgoGreedyWM)} far below best baseline $best"
       } ++ cells.collect { case ("70/70", w) if cfg.no == 2 =>
         (w(AlgoItemDisj) < 0.5 * w(AlgoGreedyWM)) -> s"70/70: item-disj ${w(AlgoItemDisj)} vs greedyWM ${w(AlgoGreedyWM)}"
-      })
+      } ++ paired.flatMap(_._2))
       Table(s"Fig 3: E[welfare] on ${g.name}, ${cfg.name} (runs=$runs)",
         Seq("budgets b1/b2") ++ twoItemAlgos,
-        rows.map { case (cell, w) => Seq[Any](cell) ++ w }, failed)
+        rows.zip(paired).map { case ((cell, _), (shown, _)) => Seq[Any](cell) ++ shown }, failed)
     }
   }
 }

@@ -28,7 +28,9 @@ object Fig5MultiItemWelfare {
   val totalGrid: Seq[Int] = Seq(500, 600, 700, 800, 900, 1000)
 
   /** Per configuration of `nos`, welfare per total budget of `totals` with `k`
-    * items. Gate: greedyWM within 0.9 of the best algorithm at every total.
+    * items, each cell as mean ± stderr with greedyWM's paired z against each
+    * baseline. Gates: greedyWM within 0.9 of the best algorithm at every
+    * total, and no baseline above it by more than 3 paired standard errors.
     */
   def run(spark: SparkSession, g: SocialGraph, nos: Seq[Int], k: Int = 10,
           totals: Seq[Int] = totalGrid, runs: Int = mcRuns): Seq[Table] = {
@@ -37,12 +39,14 @@ object Fig5MultiItemWelfare {
       (total, configFor(no, k, budgets), budgets)
     }))
     nos.zip(tables).map { case (no, cells) =>
-      val failed = unmet(cells.map { case (total, w) =>
+      val paired = cells.map { case (total, ests) => pairedRow(s"config $no total $total", multiItemAlgos, ests) }
+      val failed = unmet(cells.map { case (total, ests) =>
+        val w = ests.map(_.welfare)
         (w.head >= 0.9 * w.max) -> s"config $no total $total: greedyWM ${w.head} far below best ${w.max}"
-      })
+      } ++ paired.flatMap(_._2))
       Table(s"Fig 5: E[welfare] on ${g.name}, Configuration $no, $k items (runs=$runs)",
         Seq("total budget") ++ multiItemAlgos,
-        cells.map { case (total, w) => Seq[Any](total) ++ w }, failed)
+        cells.zip(paired).map { case ((total, _), (shown, _)) => Seq[Any](total) ++ shown }, failed)
     }
   }
 

@@ -33,6 +33,16 @@ object Welfare {
         val mean = welfare
         math.sqrt(perRunWelfare.map(w => (w - mean) * (w - mean)).sum / (runs - 1) / runs)
       }
+
+    /** Paired z of this welfare over `other`'s, estimated on the same world
+      * ids: the mean of the per-run differences over its [[stderr]]; 0 when
+      * that mean is 0, and infinite when the runs differ by a constant.
+      */
+    def pairedZ(other: Estimate): Double = {
+      require(other.runs == runs, s"paired estimates need equal runs, got $runs and ${other.runs}")
+      val diff = Estimate(perRunWelfare.zip(other.perRunWelfare).map { case (a, b) => a - b }, perRunAdoptions)
+      if (diff.welfare == 0) 0.0 else diff.welfare / diff.stderr
+    }
   }
 
   def estimate(spark: SparkSession, g: SocialGraph, alloc: Map[Int, Int],

@@ -100,13 +100,28 @@ object Experiments {
     allocations(spark, g, cells)((cfg, alloc) => Welfare.estimate(spark, g, alloc, cfg.model, runs, seed = 218))
 
   /** Each table's `(label, cfg, budgets)` rows as labels with their welfare
-    * per algorithm of `algos`, from one [[welfare]] step over all tables.
+    * estimate per algorithm of `algos`, from one [[welfare]] step over all
+    * tables.
     */
   def welfareTables[L](spark: SparkSession, g: SocialGraph, algos: Seq[String], runs: Int)(
-      tables: Seq[Seq[(L, Configs.Config, Array[Int])]]): Seq[Seq[(L, Seq[Double])]] = {
+      tables: Seq[Seq[(L, Configs.Config, Array[Int])]]): Seq[Seq[(L, Seq[Welfare.Estimate])]] = {
     val cells = for (rows <- tables; (_, cfg, budgets) <- rows; a <- algos) yield (a, cfg, budgets)
-    val w = welfare(spark, g, cells, runs).iterator.map(_._1.welfare)
+    val w = welfare(spark, g, cells, runs).iterator.map(_._1)
     tables.map(_.map { case (label, _, _) => label -> Seq.fill(algos.length)(w.next()) })
+  }
+
+  /** One welfare row of `algos`, greedyWM first, as printed: each cell's
+    * `mean +- stderr`, and for each baseline greedyWM's paired z against it
+    * on the same seed-218 worlds. With it, the gate that no baseline beats
+    * greedyWM by more than 3 paired standard errors (z >= -3), named by
+    * `label`.
+    */
+  def pairedRow(label: String, algos: Seq[String], ests: Seq[Welfare.Estimate]): (Seq[String], Seq[(Boolean, String)]) = {
+    require(algos.headOption.contains(AlgoGreedyWM) && ests.length == algos.length, "greedyWM first, one estimate per algorithm")
+    val z = ests.tail.map(ests.head.pairedZ)
+    def shown(e: Welfare.Estimate): String = f"${e.welfare}%.1f +- ${e.stderr}%.1f"
+    (shown(ests.head) +: ests.tail.zip(z).map { case (e, zi) => f"${shown(e)} (z $zi%.1f)" },
+      algos.tail.zip(z).map { case (a, zi) => (zi >= -3) -> f"$label: $a beats greedyWM by ${-zi}%.2f paired standard errors" })
   }
 
   // -------------------------------------------------------------------

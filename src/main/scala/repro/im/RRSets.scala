@@ -18,7 +18,9 @@ trait RRSampler extends Serializable {
 
 /** Borgs et al. RR sets under the IC model: pick a uniform root `v`, then
   * reverse-BFS where each in-edge `(u,w)` is live independently with
-  * probability `p(u,w)`.
+  * probability `p(u,w)`. Draws: one per gap between live in-edges under
+  * weighted cascade, one per in-edge to an unvisited tail with explicit
+  * probabilities (see `ICRRSampler.reach`).
   */
 final class ICRRSampler(g: SocialGraph) extends RRSampler {
   def sample(rng: SplittableRandom): Array[Int] =
@@ -33,20 +35,32 @@ object ICRRSampler {
 
   /** The IC RR set of `root`: the nodes that reach `root` over live reverse
     * edges, in BFS order with `root` first. Expanding node `w`, its in-edges
-    * `e` are scanned in reverse-CSR order, and each one whose tail is not
-    * yet visited draws one `rng.nextLong()`; the edge is live iff
+    * `e` are taken in reverse-CSR order, and a live edge adds its tail if
+    * that tail is not yet visited. The draw order is part of the contract:
+    * changing it changes every seeded result.
+    *
+    * With explicit probabilities, each in-edge whose tail is not yet visited
+    * draws one `rng.nextLong()`; the edge is live iff
     * `rng.nextDouble() < g.revP(e, w)` would have held for that draw.
     * `nextDouble()` is `(nextLong() >>> 11) * 2^-53`, so a draw `x` is live
-    * iff `(x >>> 11) < ceil(p * 2^53)`, the coin threshold, computed once
-    * per expanded node under weighted cascade and once per arc with
-    * explicit probabilities. The draw order is part of the contract:
-    * changing it changes every seeded result.
+    * iff `(x >>> 11) < ceil(p * 2^53)`, the coin threshold.
+    *
+    * Under weighted cascade every in-edge of `w` has p = `wcProb(w)`, and
+    * the live ones are found by geometric skips (SUBSIM: Guo, Wang, Wei and
+    * Chen, SIGMOD'20): with p >= 1 every in-edge is live and nothing is
+    * drawn; otherwise the number of dead in-edges before the next live one
+    * is `floor(ln U * wcSkip(w))`, where `wcSkip(w) = 1 / ln(1 - p)` and
+    * `U = 1 - rng.nextDouble()` in (0, 1], one draw per gap, until a gap
+    * runs past the last in-edge. Edges to
+    * visited tails count in the gaps, since liveness does not depend on
+    * what is visited. So an expanded node draws once per live in-edge plus
+    * once, not once per in-edge to an unvisited tail.
     *
     * The coin is inlined rather than passed in as a closure: drawing
     * greedyWM's 166,258 Twitter stand-in RR sets on one thread of a 4-vCPU
     * x86 host took 1.10 s through a shared closure kernel with only the IC
     * closure loaded, 1.57 s after the Com-IC samplers' closures had run
-    * through it, and 0.66 s in this loop either way.
+    * through it, and 0.66 s in the coin loop either way.
     */
   private def reach(g: SocialGraph, root: Int, rng: SplittableRandom): Array[Int] = {
     val seen = marks.get.acquire(g.n, "ICRRSampler.reach re-entered")
@@ -54,27 +68,48 @@ object ICRRSampler {
     val revSrc = g.revSrc
     val revProb = g.revProb
     val wcProb = g.wcProb
+    val wcSkip = g.wcSkip
     val wc = wcProb.length > 0
     try {
       seen.add(root)
       var head = 0
       while (head < seen.size) {
         val w = seen(head)
-        val nodeThreshold = if (wc) coinThreshold(wcProb(w)) else 0L
         var e = revOff(w)
         val end = revOff(w + 1)
         seen.reserve(end - e)
-        while (e < end) {
-          val u = revSrc(e)
-          if (!seen.has(u) && (rng.nextLong() >>> 11) < (if (wc) nodeThreshold else coinThreshold(revProb(e))))
-            seen.add(u)
-          e += 1
+        if (!wc) {
+          while (e < end) {
+            val u = revSrc(e)
+            if (!seen.has(u) && (rng.nextLong() >>> 11) < coinThreshold(revProb(e))) seen.add(u)
+            e += 1
+          }
+        } else if (wcProb(w) >= 1.0) {
+          while (e < end) {
+            val u = revSrc(e)
+            if (!seen.has(u)) seen.add(u)
+            e += 1
+          }
+        } else {
+          val scale = wcSkip(w)
+          var live = e + gap(rng, scale)
+          while (live < end) {
+            val u = revSrc(live.toInt)
+            if (!seen.has(u)) seen.add(u)
+            live += 1 + gap(rng, scale)
+          }
         }
         head += 1
       }
       seen.toArray
     } finally seen.release()
   }
+
+  /** Dead edges before the next live one when each is live with p, where
+    * `scale = 1 / ln(1 - p) < 0`: `floor(ln U * scale)` for one `U` in (0, 1].
+    */
+  private def gap(rng: SplittableRandom, scale: Double): Long =
+    math.floor(math.log(1.0 - rng.nextDouble()) * scale).toLong
 
   /** `ceil(p * 2^53)`: a 53-bit draw `x` has `x * 2^-53 < p` iff `x` is
     * below it (both sides are exact, and `x` is an integer).

@@ -34,7 +34,21 @@ class GoldenOutputSpec extends AnyFunSuite {
     val h = digest { d =>
       (0 until 3000).foreach(i => d.ints(sampler.sample(new SplittableRandom(RRSets.mix(17, i.toLong)))))
     }
-    assert(h == "3fcb1ff1a81550c7")
+    assert(h == "7a97e8931a926342")
+  }
+
+  test("IC RR sets by sample id under explicit probabilities") {
+    // directed's arcs; every fifth has p = 0, the rest a hashed p below
+    // 2 / d_in, capped at 1
+    val src = Array.tabulate(directed.n)(u => Array.fill(TestInputs.outDeg(directed, u))(u)).flatten
+    val p = Array.tabulate(src.length) { e =>
+      if (e % 5 == 0) 0.0 else math.min(1.0, 2 * RRSets.hash01(23, e.toLong, 0) / TestInputs.inDeg(directed, directed.fwdDst(e)))
+    }
+    val sampler = new ICRRSampler(SocialGraph.fromArcs("golden-p", directed.n, src, directed.fwdDst, Some(p), undirected = false))
+    val h = digest { d =>
+      (0 until 3000).foreach(i => d.ints(sampler.sample(new SplittableRandom(RRSets.mix(17, i.toLong)))))
+    }
+    assert(h == "174aeacb8a5bc475")
   }
 
   test("RR-SIM+ and RR-CIM samples") {

@@ -9,10 +9,12 @@ import repro.Threads.{onFourThreads, onNewThread}
 import repro.graph.{GraphGen, SocialGraph}
 
 /** `ICRRSampler` draws each RR set in per-thread scratch with the IC coin
-  * inlined. These tests check that it draws exactly what the plain reverse
-  * BFS draws with the coin `rng.nextDouble() < g.revP(e, w)`, draw for draw,
-  * and that the scratch never leaks state between draws: across threads
-  * and across graphs of different sizes.
+  * or the weighted-cascade skip inlined. These tests check that it draws
+  * exactly what the plain reverse BFS draws, draw for draw: with explicit
+  * probabilities, with the coin `rng.nextDouble() < g.revP(e, w)`; under
+  * weighted cascade, with `ReverseBfs.skipping`'s geometric gaps. And that
+  * the scratch never leaks state between draws: across threads and across
+  * graphs of different sizes. `ICRRExactSpec` checks the distribution.
   */
 class ICRRSamplerSpec extends AnyFunSuite {
 
@@ -35,13 +37,15 @@ class ICRRSamplerSpec extends AnyFunSuite {
   }
 
   /** RR set `i` of `g`, drawn from sample id `i` by the sampler, or by the
-    * reference BFS with the IC coin, with the RNG's next draw after it.
+    * reference BFS (the skip under weighted cascade, the IC coin
+    * otherwise), with the RNG's next draw after it.
     */
   private def draw(g: SocialGraph, i: Int, reference: Boolean = false): (Seq[Int], Long) = {
     val rng = new SplittableRandom(RRSets.mix(19, i.toLong))
     val rr =
-      if (reference) ReverseBfs(g, rng.nextInt(g.n))((e, w) => rng.nextDouble() < g.revP(e, w))
-      else new ICRRSampler(g).sample(rng)
+      if (!reference) new ICRRSampler(g).sample(rng)
+      else if (g.wcProb.nonEmpty) ReverseBfs.skipping(g, rng.nextInt(g.n), rng)
+      else ReverseBfs(g, rng.nextInt(g.n))((e, w) => rng.nextDouble() < g.revP(e, w))
     (rr.toSeq, rng.nextLong())
   }
 
