@@ -32,31 +32,25 @@ object Fig3TwoItemWelfare {
     if (uniform) Seq(10, 20, 30, 40, 50).map(Configs.uniformTwoItem)
     else Seq(30, 50, 70, 90, 110).map(Configs.nonUniformTwoItem)
 
-  /** Per configuration of `nos`, welfare per budget pair of `grid` for its
-    * budget regime, each cell as mean ± stderr with greedyWM's paired z
-    * against each baseline. Gates: greedyWM within 0.9 of the best baseline
-    * at every budget pair, and no baseline above it by more than 3 paired
-    * standard errors; under configuration 2 at 70/70, item-disj below half
-    * of greedyWM.
+  /** Per configuration of `nos`, the welfare figure
+    * ([[Experiments.welfareFigure]]) per budget pair of `grid` for its budget
+    * regime, with [[itemDisjCollapse]] as its own gate.
     */
   def run(spark: SparkSession, g: SocialGraph, nos: Seq[Int],
           grid: Boolean => Seq[Array[Int]] = budgetGrid, runs: Int = mcRuns): Seq[Table] = {
     require(nos.forall(no => no >= 1 && no <= 6), s"Fig 3 covers configurations 1-6, got ${nos.mkString(",")}")
-    val cfgs = nos.map(no => Configs.table3(no - 1))
-    val tables = welfareTables(spark, g, twoItemAlgos, runs)(
-      cfgs.map(cfg => grid(cfg.uniformBudgets).map(b => (b.mkString("/"), cfg, b))))
-    cfgs.zip(tables).map { case (cfg, rows) =>
-      val cells = rows.map { case (cell, ests) => cell -> twoItemAlgos.zip(ests.map(_.welfare)).toMap }
-      val paired = rows.map { case (cell, ests) => pairedRow(s"budgets $cell", twoItemAlgos, ests) }
-      val failed = unmet(cells.map { case (cell, w) =>
-        val best = twoItemAlgos.tail.map(w).max
-        (w(AlgoGreedyWM) >= 0.9 * best) -> s"budgets $cell: greedyWM ${w(AlgoGreedyWM)} far below best baseline $best"
-      } ++ cells.collect { case ("70/70", w) if cfg.no == 2 =>
-        (w(AlgoItemDisj) < 0.5 * w(AlgoGreedyWM)) -> s"70/70: item-disj ${w(AlgoItemDisj)} vs greedyWM ${w(AlgoGreedyWM)}"
-      } ++ paired.flatMap(_._2))
-      Table(s"Fig 3: E[welfare] on ${g.name}, ${cfg.name} (runs=$runs)",
-        Seq("budgets b1/b2") ++ twoItemAlgos,
-        rows.zip(paired).map { case ((cell, _), (shown, _)) => Seq[Any](cell) ++ shown }, failed)
-    }
+    welfareFigure(spark, g, twoItemAlgos, runs, "budgets b1/b2", nos.map { no =>
+      val cfg = Configs.table3(no - 1)
+      s"Fig 3: E[welfare] on ${g.name}, ${cfg.name} (runs=$runs)" ->
+        grid(cfg.uniformBudgets).map(b => (b.mkString("/"), cfg, b))
+    }, itemDisjCollapse)
   }
+
+  /** Fig 3(a)'s collapse: under configuration 2 at 70/70, item-disj below
+    * half of greedyWM.
+    */
+  def itemDisjCollapse(label: String, cfg: Configs.Config, w: Map[String, Double]): Seq[(Boolean, String)] =
+    if (cfg.no == 2 && label == "70/70")
+      Seq((w(AlgoItemDisj) < 0.5 * w(AlgoGreedyWM)) -> s"70/70: item-disj ${w(AlgoItemDisj)} vs greedyWM ${w(AlgoGreedyWM)}")
+    else Nil
 }

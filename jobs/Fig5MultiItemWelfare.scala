@@ -27,28 +27,18 @@ object Fig5MultiItemWelfare {
   /** The paper's total-budget sweep. */
   val totalGrid: Seq[Int] = Seq(500, 600, 700, 800, 900, 1000)
 
-  /** Per configuration of `nos`, welfare per total budget of `totals` with `k`
-    * items, each cell as mean ± stderr with greedyWM's paired z against each
-    * baseline. Gates: greedyWM within 0.9 of the best algorithm at every
-    * total, and no baseline above it by more than 3 paired standard errors.
+  /** Per configuration of `nos`, the welfare figure
+    * ([[Experiments.welfareFigure]]) per total budget of `totals` with `k`
+    * items.
     */
   def run(spark: SparkSession, g: SocialGraph, nos: Seq[Int], k: Int = 10,
-          totals: Seq[Int] = totalGrid, runs: Int = mcRuns): Seq[Table] = {
-    val tables = welfareTables(spark, g, multiItemAlgos, runs)(nos.map(no => totals.map { total =>
-      val budgets = budgetsFor(no, k, total)
-      (total, configFor(no, k, budgets), budgets)
-    }))
-    nos.zip(tables).map { case (no, cells) =>
-      val paired = cells.map { case (total, ests) => pairedRow(s"config $no total $total", multiItemAlgos, ests) }
-      val failed = unmet(cells.map { case (total, ests) =>
-        val w = ests.map(_.welfare)
-        (w.head >= 0.9 * w.max) -> s"config $no total $total: greedyWM ${w.head} far below best ${w.max}"
-      } ++ paired.flatMap(_._2))
-      Table(s"Fig 5: E[welfare] on ${g.name}, Configuration $no, $k items (runs=$runs)",
-        Seq("total budget") ++ multiItemAlgos,
-        cells.zip(paired).map { case ((total, _), (shown, _)) => Seq[Any](total) ++ shown }, failed)
-    }
-  }
+          totals: Seq[Int] = totalGrid, runs: Int = mcRuns): Seq[Table] =
+    welfareFigure(spark, g, multiItemAlgos, runs, "total budget", nos.map { no =>
+      s"Fig 5: E[welfare] on ${g.name}, Configuration $no, $k items (runs=$runs)" -> totals.map { total =>
+        val budgets = budgetsFor(no, k, total)
+        (total.toString, configFor(no, k, budgets), budgets)
+      }
+    })
 
   /** Configs 7/10: uniform split; configs 8/9: [[Configs.skewedSplit]],
     * which holds the max at item 0 and the min at item k-1 or fails.

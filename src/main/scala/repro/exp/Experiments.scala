@@ -99,29 +99,50 @@ object Experiments {
               runs: Int): Seq[(Welfare.Estimate, Long)] =
     allocations(spark, g, cells)((cfg, alloc) => Welfare.estimate(spark, g, alloc, cfg.model, runs, seed = 218))
 
-  /** Each table's `(label, cfg, budgets)` rows as labels with their welfare
-    * estimate per algorithm of `algos`, from one [[welfare]] step over all
-    * tables.
+  /** A figure's own gates on one welfare row: its label, configuration and
+    * mean welfare per algorithm.
     */
-  def welfareTables[L](spark: SparkSession, g: SocialGraph, algos: Seq[String], runs: Int)(
-      tables: Seq[Seq[(L, Configs.Config, Array[Int])]]): Seq[Seq[(L, Seq[Welfare.Estimate])]] = {
-    val cells = for (rows <- tables; (_, cfg, budgets) <- rows; a <- algos) yield (a, cfg, budgets)
+  type WelfareGate = (String, Configs.Config, Map[String, Double]) => Seq[(Boolean, String)]
+
+  /** One welfare figure: each `(title, rows)` table's `(label, cfg, budgets)`
+    * rows evaluated for every algorithm of `algos` (greedyWM first) by one
+    * [[welfare]] step over all tables, and shown and gated by [[welfareTable]].
+    */
+  def welfareFigure(spark: SparkSession, g: SocialGraph, algos: Seq[String], runs: Int, labelHeader: String,
+                    tables: Seq[(String, Seq[(String, Configs.Config, Array[Int])])],
+                    extra: WelfareGate = (_, _, _) => Nil): Seq[Table] = {
+    val cells = for ((_, rows) <- tables; (_, cfg, budgets) <- rows; a <- algos) yield (a, cfg, budgets)
     val w = welfare(spark, g, cells, runs).iterator.map(_._1)
-    tables.map(_.map { case (label, _, _) => label -> Seq.fill(algos.length)(w.next()) })
+    tables.map { case (title, rows) =>
+      welfareTable(title, labelHeader, algos,
+        rows.map { case (label, cfg, _) => (label, cfg, Seq.fill(algos.length)(w.next())) }, extra)
+    }
   }
 
-  /** One welfare row of `algos`, greedyWM first, as printed: each cell's
-    * `mean +- stderr`, and for each baseline greedyWM's paired z against it
-    * on the same seed-218 worlds. With it, the gate that no baseline beats
-    * greedyWM by more than 3 paired standard errors (z >= -3), named by
-    * `label`.
+  /** A welfare table of `algos`, greedyWM first, one row per
+    * `(label, cfg, estimates)`: each cell as `mean +- stderr`, each
+    * baseline's with greedyWM's paired z against it on the same worlds.
+    * Gates per row: greedyWM at least 0.9 of the best baseline; no baseline
+    * above greedyWM by more than 3 paired standard errors (z >= -3); and
+    * `extra`.
     */
-  def pairedRow(label: String, algos: Seq[String], ests: Seq[Welfare.Estimate]): (Seq[String], Seq[(Boolean, String)]) = {
-    require(algos.headOption.contains(AlgoGreedyWM) && ests.length == algos.length, "greedyWM first, one estimate per algorithm")
-    val z = ests.tail.map(ests.head.pairedZ)
+  private[exp] def welfareTable(title: String, labelHeader: String, algos: Seq[String],
+                                rows: Seq[(String, Configs.Config, Seq[Welfare.Estimate])], extra: WelfareGate): Table = {
+    require(algos.headOption.contains(AlgoGreedyWM) && rows.forall(_._3.length == algos.length),
+      "greedyWM first, one estimate per algorithm")
     def shown(e: Welfare.Estimate): String = f"${e.welfare}%.1f +- ${e.stderr}%.1f"
-    (shown(ests.head) +: ests.tail.zip(z).map { case (e, zi) => f"${shown(e)} (z $zi%.1f)" },
-      algos.tail.zip(z).map { case (a, zi) => (zi >= -3) -> f"$label: $a beats greedyWM by ${-zi}%.2f paired standard errors" })
+    val (cells, gates) = rows.map { case (label, cfg, ests) =>
+      val z = ests.tail.map(ests.head.pairedZ)
+      val w = algos.zip(ests.map(_.welfare)).toMap
+      val (gw, best) = (w(AlgoGreedyWM), algos.tail.map(w).max)
+      val row = Seq(label, shown(ests.head)) ++ ests.tail.zip(z).map { case (e, zi) => f"${shown(e)} (z $zi%.1f)" }
+      val gates = Seq((gw >= 0.9 * best) -> s"$labelHeader $label: greedyWM $gw far below best baseline $best") ++
+        algos.tail.zip(z).map { case (a, zi) =>
+          (zi >= -3) -> f"$labelHeader $label: $a beats greedyWM by ${-zi}%.2f paired standard errors"
+        } ++ extra(label, cfg, w)
+      (row, gates)
+    }.unzip
+    Table(title, labelHeader +: algos, cells, unmet(gates.flatten))
   }
 
   // -------------------------------------------------------------------

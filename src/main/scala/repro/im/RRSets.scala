@@ -31,7 +31,6 @@ object ICRRSampler {
 
   /** Per-thread visited nodes of one reverse BFS, which are also its queue. */
   private val marks = ThreadLocal.withInitial[NodeMarks](() => new NodeMarks)
-  private val TwoTo53 = (1L << 53).toDouble
 
   /** The IC RR set of `root`: the nodes that reach `root` over live reverse
     * edges, in BFS order with `root` first. Expanding node `w`, its in-edges
@@ -40,10 +39,7 @@ object ICRRSampler {
     * changing it changes every seeded result.
     *
     * With explicit probabilities, each in-edge whose tail is not yet visited
-    * draws one `rng.nextLong()`; the edge is live iff
-    * `rng.nextDouble() < g.revP(e, w)` would have held for that draw.
-    * `nextDouble()` is `(nextLong() >>> 11) * 2^-53`, so a draw `x` is live
-    * iff `(x >>> 11) < ceil(p * 2^53)`, the coin threshold.
+    * flips one coin: the edge is live iff `rng.nextDouble() < g.revP(e, w)`.
     *
     * Under weighted cascade every in-edge of `w` has p = `wcProb(w)`, and
     * the live ones are found by geometric skips (SUBSIM: Guo, Wang, Wei and
@@ -56,11 +52,10 @@ object ICRRSampler {
     * what is visited. So an expanded node draws once per live in-edge plus
     * once, not once per in-edge to an unvisited tail.
     *
-    * The coin is inlined rather than passed in as a closure: drawing
-    * greedyWM's 166,258 Twitter stand-in RR sets on one thread of a 4-vCPU
-    * x86 host took 1.10 s through a shared closure kernel with only the IC
-    * closure loaded, 1.57 s after the Com-IC samplers' closures had run
-    * through it, and 0.66 s in the coin loop either way.
+    * The loops are inlined rather than passed in as a closure: one kernel
+    * shared with the Com-IC samplers' closures drew IC RR sets at less than
+    * half the inlined speed once those closures had run through it
+    * (DESIGN.md, `repro.im.RRSets`).
     */
   private def reach(g: SocialGraph, root: Int, rng: SplittableRandom): Array[Int] = {
     val seen = marks.get.acquire(g.n, "ICRRSampler.reach re-entered")
@@ -81,7 +76,7 @@ object ICRRSampler {
         if (!wc) {
           while (e < end) {
             val u = revSrc(e)
-            if (!seen.has(u) && (rng.nextLong() >>> 11) < coinThreshold(revProb(e))) seen.add(u)
+            if (!seen.has(u) && rng.nextDouble() < revProb(e)) seen.add(u)
             e += 1
           }
         } else if (wcProb(w) >= 1.0) {
@@ -110,11 +105,6 @@ object ICRRSampler {
     */
   private def gap(rng: SplittableRandom, scale: Double): Long =
     math.floor(math.log(1.0 - rng.nextDouble()) * scale).toLong
-
-  /** `ceil(p * 2^53)`: a 53-bit draw `x` has `x * 2^-53 < p` iff `x` is
-    * below it (both sides are exact, and `x` is an integer).
-    */
-  private[im] def coinThreshold(p: Double): Long = math.ceil(p * TwoTo53).toLong
 }
 
 /** Batch generation of RR sets with per-sample seeds, and the home of the

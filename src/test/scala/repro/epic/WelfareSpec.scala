@@ -56,6 +56,29 @@ class WelfareSpec extends AnyFunSuite with SparkSpec {
     assert(Welfare.estimate(spark, g, greedyAlloc, model, runs = 8, seed = 3).stderr == 0.0)
   }
 
+  test("paired z is the mean per-run difference over its standard error") {
+    // differences 2, 3, 1, 6: mean 3, squared deviations 1 + 0 + 4 + 9 = 14,
+    // standard error sqrt(14 / 3 / 4)
+    val a = Welfare.Estimate(Array(3.0, 5.0, 4.0, 8.0), Array.fill(4)(0L))
+    val b = Welfare.Estimate(Array(1.0, 2.0, 3.0, 2.0), Array.fill(4)(0L))
+    assert(math.abs(a.pairedZ(b) - 3 / math.sqrt(14.0 / 12)) < 1e-12)
+    assert(b.pairedZ(a) == -a.pairedZ(b))
+  }
+
+  test("paired z is 0 for equal runs and infinite when the runs differ by a constant") {
+    val a = Welfare.Estimate(Array(3.0, 5.0, 4.0, 8.0), Array.fill(4)(0L))
+    val up = Welfare.Estimate(a.perRunWelfare.map(_ + 2), a.perRunAdoptions)
+    assert(a.pairedZ(a) == 0.0)
+    assert(up.pairedZ(a) == Double.PositiveInfinity && a.pairedZ(up) == Double.NegativeInfinity)
+  }
+
+  test("paired z rejects estimates with unequal run counts") {
+    val a = Welfare.Estimate(Array(3.0, 5.0, 4.0), Array.fill(3)(0L))
+    val b = Welfare.Estimate(Array(1.0, 2.0), Array.fill(2)(0L))
+    intercept[IllegalArgumentException](a.pairedZ(b))
+    intercept[IllegalArgumentException](b.pairedZ(a))
+  }
+
   test("an allocation outside the graph or the items fails on the driver") {
     for (bad <- Seq(Map(g.n -> 1), Map(-1 -> 1), Map(0 -> 3, 1 -> (1 << model.k))))
       intercept[IllegalArgumentException](Welfare.estimate(spark, g, bad, model, runs = 2, seed = 1))

@@ -106,6 +106,46 @@ class ExperimentsSpec extends AnyFunSuite with SparkSpec {
     }
   }
 
+  /** An estimate with per-run welfare `ws`. With two runs, greedyWM's
+    * paired z against it is the sum of the two differences over their
+    * distance.
+    */
+  private def est(ws: Double*): Welfare.Estimate = Welfare.Estimate(ws.toArray, Array.fill(ws.length)(0L))
+  private val noGates: Experiments.WelfareGate = (_, _, _) => Nil
+
+  test("a welfare row prints mean +- stderr, with greedyWM's paired z against each baseline") {
+    val t = Experiments.welfareTable("t", "total budget", Experiments.multiItemAlgos,
+      Seq(("500", Configs.config7(3), Seq(est(100, 100), est(90, 91), est(89, 92)))), noGates)
+    assert(t.headers == "total budget" +: Experiments.multiItemAlgos)
+    assert(t.rows == Seq(Seq("500", "100.0 +- 0.0", "90.5 +- 0.5 (z 19.0)", "90.5 +- 1.5 (z 6.3)")))
+    assert(t.failed.isEmpty)
+  }
+
+  test("welfare gates: greedyWM within 0.9 of the best baseline, no baseline above it by more than 3 paired standard errors") {
+    val cfg = Configs.config7(3)
+    val t = Experiments.welfareTable("t", "total budget", Experiments.multiItemAlgos, Seq(
+      // z -3.1 against item-disj, -2.9 against bundle-disj
+      ("a", cfg, Seq(est(100, 100), est(101.05, 102.05), est(100.95, 101.95))),
+      // item-disj's mean 60 is above 50 / 0.9, at z -1/6
+      ("b", cfg, Seq(est(50, 50), est(0, 120), est(0, 0))),
+      ("c", cfg, Seq(est(100, 100), est(90, 91), est(89, 92)))), noGates)
+    assert(t.failed == Seq(
+      "total budget a: item-disj beats greedyWM by 3.10 paired standard errors",
+      "total budget b: greedyWM 50.0 far below best baseline 60.0"))
+  }
+
+  test("Fig 3's own gate: item-disj below half of greedyWM under Configuration 2 at 70/70 only") {
+    def failed(cfg: Configs.Config, label: String, itemDisj: Double): Seq[String] = {
+      val ests = Seq(est(100, 100), est(95, 96), est(95, 96), est(itemDisj, itemDisj + 1), est(100, 100))
+      Experiments.welfareTable("t", "budgets b1/b2", Experiments.twoItemAlgos,
+        Seq((label, cfg, ests)), Fig3TwoItemWelfare.itemDisjCollapse).failed
+    }
+    assert(failed(Configs.config2, "70/70", 60) == Seq("70/70: item-disj 60.5 vs greedyWM 100.0"))
+    assert(failed(Configs.config2, "70/70", 40).isEmpty)
+    assert(failed(Configs.config2, "70/90", 60).isEmpty)
+    assert(failed(Configs.config4, "70/70", 60).isEmpty)
+  }
+
   test("budget grids match the paper's sweeps") {
     assert(Fig3TwoItemWelfare.budgetGrid(uniform = true).map(_.toSeq) ==
       Seq(Seq(10, 10), Seq(20, 20), Seq(30, 30), Seq(40, 40), Seq(50, 50)))

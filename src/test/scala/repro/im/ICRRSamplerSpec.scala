@@ -9,12 +9,13 @@ import repro.Threads.{onFourThreads, onNewThread}
 import repro.graph.{GraphGen, SocialGraph}
 
 /** `ICRRSampler` draws each RR set in per-thread scratch with the IC coin
-  * or the weighted-cascade skip inlined. These tests check that it draws
-  * exactly what the plain reverse BFS draws, draw for draw: with explicit
-  * probabilities, with the coin `rng.nextDouble() < g.revP(e, w)`; under
-  * weighted cascade, with `ReverseBfs.skipping`'s geometric gaps. And that
-  * the scratch never leaks state between draws: across threads and across
-  * graphs of different sizes. `ICRRExactSpec` checks the distribution.
+  * `rng.nextDouble() < g.revP(e, w)` or the weighted-cascade skip inlined.
+  * These tests check that it draws exactly what the plain reverse BFS
+  * draws, draw for draw: with explicit probabilities, the same coin per
+  * in-edge to an unvisited tail; under weighted cascade,
+  * `ReverseBfs.skipping`'s geometric gaps. And that the scratch never
+  * leaks state between draws: across threads and across graphs of
+  * different sizes. `ICRRExactSpec` checks the distribution.
   */
 class ICRRSamplerSpec extends AnyFunSuite {
 
@@ -81,16 +82,5 @@ class ICRRSamplerSpec extends AnyFunSuite {
     val interleaved = onNewThread(ids.map(i => (draw(small, i), draw(big, i))))
     assert(interleaved.map(_._1) == smallAlone)
     assert(interleaved.map(_._2) == bigAlone)
-  }
-
-  test("a 53-bit draw is below p exactly when it is below the coin threshold") {
-    val rng = new SplittableRandom(43)
-    val ps = Seq(0.0, 1.0) ++ (2 to 3000).map(1.0 / _) ++ Seq.fill(3000)(rng.nextDouble())
-    ps.foreach { p =>
-      val t = ICRRSampler.coinThreshold(p)
-      for (x <- Seq(t - 1, t) if x >= 0 && x < (1L << 53))
-        assert((math.scalb(x.toDouble, -53) < p) == (x < t), s"p=$p x=$x")
-    }
-    assert(ICRRSampler.coinThreshold(0.0) == 0L && ICRRSampler.coinThreshold(1.0) == (1L << 53))
   }
 }

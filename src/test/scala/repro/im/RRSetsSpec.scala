@@ -80,7 +80,7 @@ class RRSetsSpec extends AnyFunSuite with SparkSpec with PropHelpers {
     assert(RRSets.generate(spark, sampler, -3, 1, 5).isEmpty)
   }
 
-  test("calls sharing one broadcast match calls that broadcast their own") {
+  test("two draws of one batch equal one generate over both id ranges") {
     val g = TestInputs.uniformDirected("t", 40, 200, seed = 9)
     val sampler = new ICRRSampler(g)
     val shared = SeededBatch.run(spark, sampler, 5L)(_.sample(_))(draw => draw(0, 10) ++ draw(10, 10))
