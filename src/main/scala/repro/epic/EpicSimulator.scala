@@ -4,7 +4,7 @@ import java.util.SplittableRandom
 
 import repro.exec.NodeMarks
 import repro.graph.SocialGraph
-import repro.items.Adoption
+import repro.items.{Adoption, SetFunctions}
 
 /** Deterministic EPIC diffusion in one possible world (Fig. 2 / §4.1).
   *
@@ -31,10 +31,19 @@ object EpicSimulator {
   }
   private val scratch = ThreadLocal.withInitial[Scratch](() => new Scratch)
 
-  /** Diffuse with a live RNG deciding edge coins (fresh edge world). */
+  /** Diffuse with a live RNG deciding edge coins (fresh edge world),
+    * checking `util` for supermodularity first.
+    */
   def diffuse(g: SocialGraph, alloc: Map[Int, Int], util: Array[Double],
               rng: SplittableRandom): Array[Int] =
-    run(g, alloc, util, (e, _) => rng.nextDouble() < g.fwdP(e))
+    diffuse(g, alloc, util, SetFunctions.isSupermodular(util), rng)
+
+  /** [[diffuse]] with `supermodular` the caller's answer for `util`:
+    * [[repro.items.UtilityModel.supermodular]] for a model's worlds.
+    */
+  def diffuse(g: SocialGraph, alloc: Map[Int, Int], util: Array[Double], supermodular: Boolean,
+              rng: SplittableRandom): Array[Int] =
+    run(g, alloc, util, supermodular, (e, _) => rng.nextDouble() < g.fwdP(e))
 
   /** Diffuse with `testEdge(e, src)` deciding each edge's coin; returns
     * every node's adoption mask.
@@ -47,15 +56,16 @@ object EpicSimulator {
     * desire set adds it and touches `v`. At `u`'s first push each out-edge
     * `e` (in CSR order) is asked `testEdge(e, u)` once, and a live edge's
     * head is kept; a later push of `u` walks only the kept heads. Then each
-    * touched node (once, in first-touch order) re-runs the rule, and the
-    * nodes whose adoption grew form the next frontier.
+    * touched node (once, in first-touch order) re-runs the rule
+    * (`Adoption.inWorld(util, supermodular)`), and the nodes whose adoption
+    * grew form the next frontier.
     *
     * The kept heads of every pushed node lie in one per-thread buffer, a
     * count followed by the heads, found through a per-world offset per
     * node. Calls on different threads are independent, also after
     * `testEdge` throws; a nested call on the same thread throws.
     */
-  private[epic] def run(g: SocialGraph, alloc: Map[Int, Int], util: Array[Double],
+  private[epic] def run(g: SocialGraph, alloc: Map[Int, Int], util: Array[Double], supermodular: Boolean,
                         testEdge: (Int, Int) => Boolean): Array[Int] = {
     val s = scratch.get
     var heads = s.heads
@@ -63,7 +73,7 @@ object EpicSimulator {
     val adoption = new Array[Int](g.n)
     // 1 + the offset in `heads` of node u's live-head count; 0 before u's first push.
     val liveAt = new Array[Int](g.n)
-    val adopt = Adoption.inWorld(util)
+    val adopt = Adoption.inWorld(util, supermodular)
     val touched = s.touched.acquire(g.n, "EpicSimulator.run re-entered from its edge test")
     // A node re-runs the adoption rule on its desire set; true iff it grew.
     def settle(v: Int): Boolean = {

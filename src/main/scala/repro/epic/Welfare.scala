@@ -63,7 +63,7 @@ object Welfare {
   private[repro] def world(p: (SocialGraph, Map[Int, Int], UtilityModel), rng: SplittableRandom): (Double, Long) = {
     val (g, alloc, model) = p
     val util = model.sampleUtilityTable(rng)
-    val adoption = EpicSimulator.diffuse(g, alloc, util, rng)
+    val adoption = EpicSimulator.diffuse(g, alloc, util, model.supermodular, rng)
     (EpicSimulator.welfare(util, adoption), EpicSimulator.adoptionCount(adoption))
   }
 }

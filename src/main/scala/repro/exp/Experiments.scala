@@ -154,17 +154,23 @@ object Experiments {
     */
   final case class Table(title: String, headers: Seq[String], rows: Seq[Seq[Any]],
                          failed: Seq[String]) {
-    /** Print the table, then one line per failed gate. */
-    def show(): Unit = {
-      printTable(title, headers, rows)
-      failed.foreach(f => println(s"paper-shape gate failed: $f"))
-    }
+    /** Print the table, then one line per failed gate, in one write. */
+    def show(): Unit =
+      write(rendered(title, headers, rows) + failed.map(f => s"paper-shape gate failed: $f$nl").mkString)
   }
 
   /** The messages of the gates whose condition is false. */
   def unmet(gates: Seq[(Boolean, String)]): Seq[String] = gates.collect { case (false, msg) => msg }
 
-  def printTable(title: String, headers: Seq[String], rows: Seq[Seq[Any]]): Unit = {
+  def printTable(title: String, headers: Seq[String], rows: Seq[Seq[Any]]): Unit =
+    write(rendered(title, headers, rows))
+
+  private val nl = System.lineSeparator
+
+  /** The lines `printTable` prints: a blank line, the title, the header
+    * row, a rule and one line per row, each cell padded to its column.
+    */
+  private def rendered(title: String, headers: Seq[String], rows: Seq[Seq[Any]]): String = {
     val cells = headers +: rows.map(_.map {
       case d: Double => f"$d%.1f"
       case x => x.toString
@@ -172,12 +178,14 @@ object Experiments {
     val widths = headers.indices.map(i => cells.map(_(i).length).max)
     def fmt(r: Seq[String]): String =
       r.zip(widths).map { case (c, w) => c.padTo(w, ' ') }.mkString("| ", " | ", " |")
-    println()
-    println(s"== $title ==")
-    println(fmt(cells.head))
-    println(widths.map("-" * _).mkString("|-", "-|-", "-|"))
-    cells.tail.foreach(r => println(fmt(r)))
+    (Seq("", s"== $title ==", fmt(cells.head), widths.map("-" * _).mkString("|-", "-|-", "-|")) ++
+      cells.tail.map(fmt)).map(_ + nl).mkString
   }
+
+  /** One write to the console, flushed, so that no other output (such as
+    * a test runner's log lines) lands inside it.
+    */
+  private def write(text: String): Unit = { print(text); Console.out.flush() }
 
   // -------------------------------------------------------------------
   // Cached networks (generation is deterministic but not free).

@@ -1,6 +1,7 @@
 package repro.graph
 
 import java.util.SplittableRandom
+import java.util.concurrent.ArrayBlockingQueue
 
 /** Deterministic synthetic social-network generators.
   *
@@ -14,15 +15,65 @@ import java.util.SplittableRandom
   */
 object GraphGen {
 
-  /** Draw index in `[0,n)` from cumulative weights via binary search. */
-  private def draw(cum: Array[Double], rng: SplittableRandom): Int = {
-    val x = rng.nextDouble() * cum(cum.length - 1)
-    var lo = 0; var hi = cum.length - 1
+  /** The smallest `i` in `[from, to]` with `cum(i) >= x`, or `to` if there
+    * is none, by binary search over the non-decreasing `cum`.
+    */
+  private[graph] def search(cum: Array[Double], x: Double, from: Int, to: Int): Int = {
+    var lo = from; var hi = to
     while (lo < hi) {
       val mid = (lo + hi) >>> 1
       if (cum(mid) < x) lo = mid + 1 else hi = mid
     }
     lo
+  }
+
+  /** The endpoint distribution over `[0, n)`: cumulative weights `cum` and a
+    * guide table over them (the cutpoint method of Chen and Asau, 1974).
+    *
+    * `[0, total)` is cut into `n` buckets; bucket `b` starts at `bound(b)` and
+    * `guide(b)` is the number of `i` with `cum(i) < bound(b)` (at most
+    * `n - 1`; `guide(n) = n - 1`). [[lowerBound]] finds the bucket of `x`
+    * from an estimate and searches only between its two guides, so a draw
+    * takes O(1) expected steps and returns exactly what
+    * `search(cum, x, 0, n - 1)` returns, rounding at bucket edges included.
+    */
+  private[graph] final class Endpoints(n: Int) {
+    val cum: Array[Double] = cumWeights(n)
+    val total: Double = cum(n - 1)
+    private val scale = n / total
+
+    /** The lower edge of bucket `b`, the same double wherever it is read. */
+    def bound(b: Int): Double = total * b / n
+
+    private val guide: Array[Int] = {
+      val guide = new Array[Int](n + 1)
+      var i = 0
+      var b = 0
+      while (b < n) {
+        val lim = bound(b)
+        while (i < n && cum(i) < lim) i += 1
+        guide(b) = math.min(i, n - 1)
+        b += 1
+      }
+      guide(n) = n - 1
+      guide
+    }
+
+    /** `search(cum, x, 0, n - 1)` for `x >= 0`. Walking to the bucket `b` with
+      * `bound(b) <= x < bound(b + 1)` (or the last bucket) puts that answer
+      * in `[guide(b), guide(b + 1)]`: every `cum(i)` below `guide(b)` is
+      * under `bound(b) <= x`, and `cum(guide(b + 1)) >= bound(b + 1) > x`
+      * unless `guide(b + 1)` is the last index.
+      */
+    def lowerBound(x: Double): Int = {
+      var b = math.min((x * scale).toInt, n - 1)
+      while (b > 0 && bound(b) > x) b -= 1
+      while (b < n - 1 && bound(b + 1) <= x) b += 1
+      search(cum, x, guide(b), guide(b + 1))
+    }
+
+    /** One endpoint: the index whose cumulative-weight interval holds a uniform draw. */
+    def draw(rng: SplittableRandom): Int = lowerBound(rng.nextDouble() * total)
   }
 
   /** The Zipf exponent of the endpoint weights. */
@@ -54,12 +105,21 @@ object GraphGen {
   /** Both generators: an undirected graph maps destinations through the source permutation too. */
   private def powerLaw(name: String, n: Int, targetEdges: Int, seed: Long, undirected: Boolean): SocialGraph = {
     val rng = new SplittableRandom(seed)
-    val cum = cumWeights(n)
+    val ends = new Endpoints(n)
     val permSrc = permutation(n, new SplittableRandom(seed ^ 0x9E3779B97F4A7C15L))
     val permDst = if (undirected) permSrc else permutation(n, new SplittableRandom(seed ^ 0xC2B2AE3D27D4EB4FL))
     distinctArcs(name, n, targetEdges, targetEdges.toLong * 20, undirected)(
-      permSrc(draw(cum, rng)), permDst(draw(cum, rng)))
+      permSrc(ends.draw(rng)), permDst(ends.draw(rng)))
   }
+
+  /** Attempts per batch that the drawing stage hands to the dedup stage. */
+  private final val BatchAttempts = 4096
+
+  /** Batches the drawing stage may run ahead of the dedup stage. */
+  private final val BatchesAhead = 4
+
+  /** What the drawing stage hands over in place of a batch when a draw threw. */
+  private val DrawFailed = new Array[Int](0)
 
   /** The generators' one draw loop: evaluates `src` then `dst` per attempt
     * until `target` distinct arcs are found or `maxAttempts` attempts are
@@ -68,9 +128,21 @@ object GraphGen {
     * drawn and pair `i` is stored as arcs `2i = (min, max)` and
     * `2i+1 = (max, min)`. The tests' uniform random graphs draw through it
     * too (`repro.TestInputs.uniformDirected`).
+    *
+    * Two stages: a helper thread evaluates `src` and `dst` in attempt order
+    * into batches of `BatchAttempts` attempts, and the calling thread
+    * dedups the batches in order. So the arcs are those of one sequential
+    * loop; the draws made past the last attempt it reads are dropped, and
+    * `src` and `dst` must not be read by anyone else during the call. An
+    * exception in either stage is thrown to the caller, and the helper
+    * thread has ended when the call returns or throws.
     */
   private[repro] def distinctArcs(name: String, n: Int, target: Int, maxAttempts: Long, undirected: Boolean)
                           (src: => Int, dst: => Int): SocialGraph = {
+    val possible = if (undirected) n.toLong * (n - 1) / 2 else n.toLong * (n - 1)
+    require(target >= 0 && target <= possible,
+      s"graph $name: cannot draw $target distinct ${if (undirected) "pairs" else "arcs"} on n = $n nodes " +
+      s"(at most $possible)")
     val width = if (undirected) 2 else 1
     val us, vs = new Array[Int](target * width)
     // Arcs kept so far, as keys `u * n + v` in an open-addressing table of
@@ -80,23 +152,55 @@ object GraphGen {
     java.util.Arrays.fill(seen, -1L)
     var found = 0
     var attempts = 0L
-    while (found < target && attempts < maxAttempts) {
-      val a = src; val b = dst
-      if (a != b) {
-        val u = if (undirected) math.min(a, b) else a
-        val v = if (undirected) math.max(a, b) else b
-        val key = u.toLong * n + v
-        val h = key * 0x9E3779B97F4A7C15L
-        var i = (h ^ (h >>> 32)).toInt & (slots - 1)
-        while (seen(i) != -1L && seen(i) != key) i = (i + 1) & (slots - 1)
-        if (seen(i) == -1L) {
-          seen(i) = key
-          us(found * width) = u; vs(found * width) = v
-          if (undirected) { us(found * 2 + 1) = v; vs(found * 2 + 1) = u }
-          found += 1
+    // Each batch holds its attempts' `src, dst` pairs side by side.
+    val drawn = new ArrayBlockingQueue[Array[Int]](BatchesAhead)
+    var failure: Throwable = null
+    val drawer = new Thread(() =>
+      try {
+        var left = maxAttempts
+        while (left > 0) {
+          val batch = new Array[Int](2 * math.min(left, BatchAttempts.toLong).toInt)
+          var j = 0
+          while (j < batch.length) { batch(j) = src; batch(j + 1) = dst; j += 2 }
+          drawn.put(batch)
+          left -= batch.length / 2
+        }
+      } catch {
+        case _: InterruptedException => // the dedup stage is done
+        case t: Throwable =>
+          failure = t
+          try drawn.put(DrawFailed) catch { case _: InterruptedException => }
+      }, s"GraphGen.distinctArcs draws ($name)")
+    drawer.setDaemon(true)
+    drawer.start()
+    try {
+      while (found < target && attempts < maxAttempts) {
+        val batch = drawn.take()
+        if (batch eq DrawFailed) throw failure
+        var j = 0
+        while (j < batch.length && found < target) {
+          val a = batch(j); val b = batch(j + 1)
+          if (a != b) {
+            val u = if (undirected) math.min(a, b) else a
+            val v = if (undirected) math.max(a, b) else b
+            val key = u.toLong * n + v
+            val h = key * 0x9E3779B97F4A7C15L
+            var i = (h ^ (h >>> 32)).toInt & (slots - 1)
+            while (seen(i) != -1L && seen(i) != key) i = (i + 1) & (slots - 1)
+            if (seen(i) == -1L) {
+              seen(i) = key
+              us(found * width) = u; vs(found * width) = v
+              if (undirected) { us(found * 2 + 1) = v; vs(found * 2 + 1) = u }
+              found += 1
+            }
+          }
+          attempts += 1
+          j += 2
         }
       }
-      attempts += 1
+    } finally {
+      drawer.interrupt()
+      drawer.join()
     }
     SocialGraph.fromArcs(name, n, us.take(found * width), vs.take(found * width), None, undirected)
   }

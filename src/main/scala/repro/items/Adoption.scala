@@ -43,7 +43,9 @@ object Adoption {
   }
 
   /** The rule for every node of one possible world, as
-    * `(desire, prev) => adoption`; every node of the world reads `util`.
+    * `(desire, prev) => adoption`; every node of the world reads `util`, and
+    * `supermodular` is `SetFunctions.isSupermodular(util)`, decided by the
+    * caller (once per model for a model's worlds, [[UtilityModel.supermodular]]).
     *
     * When `util` is supermodular the answer is `byDesire(util)(desire)`,
     * whatever `prev` is, provided `prev` was itself the rule's answer for a
@@ -57,8 +59,8 @@ object Adoption {
     * Any other world (the learned PS4 table is not supermodular) calls
     * [[adopt]] itself.
     */
-  def inWorld(util: Array[Double]): (Int, Int) => Int =
-    if (SetFunctions.isSupermodular(util)) { val table = byDesire(util); (desire, _) => table(desire) }
+  def inWorld(util: Array[Double], supermodular: Boolean): (Int, Int) => Int =
+    if (supermodular) { val table = byDesire(util); (desire, _) => table(desire) }
     else (desire, prev) => adopt(util, desire, prev)
 
   /** `table(R)`: the union of the maxima of `util` over the subsets of `R`,

@@ -153,6 +153,22 @@ final case class UtilityModel(valuation: Array[Double], prices: Array[Double], n
   /** Sample a noise world and return its utility table. */
   def sampleUtilityTable(rng: SplittableRandom): Array[Double] =
     utilityTable(noise.sample(rng))
+
+  /** `SetFunctions.isSupermodular` of every noise world's utility table,
+    * decided once for the model.
+    *
+    * A world's table is `V` plus the additive table of the terms
+    * `a(i) = noise(i) - price(i)`, and an additive table adds 0 to each
+    * slack `f(S+i+j) - f(S+j) - f(S+i) + f(S)` that the check compares with
+    * `-Tol`. So the world's check and this check on `V` read the same
+    * slacks up to rounding: `utilityTable` moves each entry by at most
+    * `k·2^-53·(max|V| + Σ|a(i)|)` and each check's differences add about
+    * `6·2^-53` of that scale, so the answers can differ only when some slack
+    * of `V` lies within `(4k + 12)·2^-53·(max|V| + Σ|a(i)|)` of `-Tol`. For
+    * the figures' configurations that is under 10^-11 against `Tol` = 10^-9,
+    * and their slacks are either at least about 0 or far below `-Tol`.
+    */
+  lazy val supermodular: Boolean = SetFunctions.isSupermodular(valuation)
 }
 
 object UtilityModel {
@@ -171,8 +187,8 @@ object UtilityModel {
   }
 }
 
-/** Set-function property checks: the adoption rule checks each possible
-  * world's utility table ([[Adoption.inWorld]]), tests and configuration
+/** Set-function property checks: the adoption rule's choice for a model's
+  * worlds ([[UtilityModel.supermodular]]), tests and configuration
   * builders check valuations.
   */
 object SetFunctions {

@@ -1,7 +1,7 @@
 package repro.epic
 
 import repro.graph.SocialGraph
-import repro.items.Adoption
+import repro.items.{Adoption, SetFunctions}
 
 /** The plain EPIC push loop `EpicSimulator.run` is checked against: fresh
   * arrays on every call, and every out-edge of a frontier node scanned at
@@ -22,7 +22,7 @@ object EpicReference {
     val desire = new Array[Int](g.n)
     val adoption = new Array[Int](g.n)
     val coin = new Array[Byte](g.fwdDst.length) // 0 untested, 1 live, 2 blocked
-    val adopt = Adoption.inWorld(util)
+    val adopt = Adoption.inWorld(util, SetFunctions.isSupermodular(util))
     def settle(v: Int): Boolean = {
       val a = adopt(desire(v), adoption(v))
       a != adoption(v) && { adoption(v) = a; true }

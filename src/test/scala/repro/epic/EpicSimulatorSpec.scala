@@ -207,7 +207,7 @@ class EpicSimulatorSpec extends AnyFunSuite with PropHelpers {
         // the seed's first two out-edges are live and touch their heads; the third throws
         var tested = 0
         intercept[IllegalStateException] {
-          EpicSimulator.run(big, Map(seed -> 1), oneItem, { (_, _) =>
+          EpicSimulator.run(big, Map(seed -> 1), oneItem, supermodular = true, { (_, _) =>
             tested += 1
             if (tested == 3) throw new IllegalStateException("boom")
             true
@@ -224,7 +224,7 @@ class EpicSimulatorSpec extends AnyFunSuite with PropHelpers {
     val seed = spreading(big).head
     val after = onNewThread {
       intercept[IllegalArgumentException] {
-        EpicSimulator.run(big, Map(seed -> 1), oneItem, (_, _) => spread(small, 1).nonEmpty)
+        EpicSimulator.run(big, Map(seed -> 1), oneItem, supermodular = true, (_, _) => spread(small, 1).nonEmpty)
       }
       (0 until 50).map(spread(small, _))
     }
@@ -252,7 +252,7 @@ class EpicSimulatorSpec extends AnyFunSuite with PropHelpers {
       val (g, alloc, util) = rePushInstance(s)
       val live = HashedWorld.edgeLive(g, s) _
       val calls = scala.collection.mutable.ArrayBuffer.empty[(Int, Int)]
-      val adoption = EpicSimulator.run(g, alloc, util, { (e, u) => calls += ((e, u)); live(e, u) })
+      val adoption = EpicSimulator.run(g, alloc, util, SetFunctions.isSupermodular(util), { (e, u) => calls += ((e, u)); live(e, u) })
       val order = scala.collection.mutable.ArrayBuffer.empty[Int]
       val expected = EpicReference.run(g, alloc, util, live, order += _)
       assert(adoption.toSeq == expected.toSeq, s"seed=$s")

@@ -2,6 +2,7 @@ package repro.epic
 
 import repro.graph.SocialGraph
 import repro.im.RRSets.hash01
+import repro.items.SetFunctions
 
 /** EPIC diffusion in replayable hashed edge worlds, so that `EpicPregel`
   * and the local simulator can walk the same world.
@@ -15,5 +16,5 @@ object HashedWorld {
   /** `EpicSimulator`'s diffusion in the edge world `worldSeed`. */
   def diffuseFixedWorld(g: SocialGraph, alloc: Map[Int, Int], util: Array[Double],
                         worldSeed: Long): Array[Int] =
-    EpicSimulator.run(g, alloc, util, edgeLive(g, worldSeed))
+    EpicSimulator.run(g, alloc, util, SetFunctions.isSupermodular(util), edgeLive(g, worldSeed))
 }

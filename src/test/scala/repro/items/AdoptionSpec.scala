@@ -99,7 +99,7 @@ class AdoptionSpec extends AnyFunSuite with PropHelpers {
       assert(Integer.bitCount(got) == argmax.map(Integer.bitCount).max, s"$clue desire=$desire prev=$prev")
       // A world that is not supermodular gets the plain rule, for any prev.
       if (!SetFunctions.isSupermodular(util))
-        assert(Adoption.inWorld(util)(desire, prev) == got, s"$clue inWorld desire=$desire prev=$prev")
+        assert(Adoption.inWorld(util, supermodular = false)(desire, prev) == got, s"$clue inWorld desire=$desire prev=$prev")
     }
     // Small integer utilities: ties are common and most tables are not supermodular.
     var nonSupermodular = 0
@@ -128,7 +128,7 @@ class AdoptionSpec extends AnyFunSuite with PropHelpers {
     def check(util: Array[Double], k: Int, clue: String): Unit = {
       assert(SetFunctions.isSupermodular(util), clue)
       val table = Adoption.byDesire(util)
-      val rule = Adoption.inWorld(util)
+      val rule = Adoption.inWorld(util, supermodular = true)
       for ((r0, r) <- nested(k); prev <- Seq(table(r0), Adoption.adopt(util, r0, 0))) {
         val want = Adoption.adopt(util, r, prev)
         // Build the clue only on failure: rendering util.toSeq on all ~350K steps took ~27 s.

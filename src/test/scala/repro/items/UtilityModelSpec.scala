@@ -5,6 +5,7 @@ import java.util.SplittableRandom
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.{PropHelpers, TestInputs}
+import repro.core.Configs
 
 class UtilityModelSpec extends AnyFunSuite with PropHelpers {
 
@@ -54,6 +55,17 @@ class UtilityModelSpec extends AnyFunSuite with PropHelpers {
       val t = model.sampleUtilityTable(new SplittableRandom(s))
       assert(SetFunctions.isSupermodular(t))
     }
+  }
+
+  test("supermodular, decided once per model, is each world's own check in the figures' configurations") {
+    val configs = Configs.table3 ++ Seq(Configs.config7(10), Configs.configCone(8, 10, 0),
+      Configs.configCone(9, 10, 9), Configs.config10(10), Configs.realPs4)
+    for (cfg <- configs) {
+      val rng = new SplittableRandom(cfg.no)
+      val differ = (1 to 2000).count(_ => SetFunctions.isSupermodular(cfg.model.sampleUtilityTable(rng)) != cfg.model.supermodular)
+      assert(differ == 0, s"${cfg.name}: $differ of 2000 worlds")
+    }
+    assert(configs.map(_.model.supermodular) == Seq.fill(configs.length - 1)(true) :+ false)
   }
 
   test("noise is zero-mean: MC average of sampled utility approaches deterministic utility") {
