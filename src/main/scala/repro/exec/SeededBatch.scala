@@ -11,7 +11,8 @@ import repro.im.RRSets
 
 /** The one place Monte-Carlo samples run, IMM/PRIMM's RR sets and the
   * possible worlds of a welfare estimate alike: a batch of independent
-  * samples, each seeded by its own id.
+  * samples, each seeded by its own id. Its in-process pool ([[forEach]])
+  * also packs and scans [[repro.im.RRStore]] blocks.
   */
 object SeededBatch {
 
@@ -23,7 +24,7 @@ object SeededBatch {
     * `count` above `Int.MaxValue` throws before any sample runs. A `draw`
     * after `body` returns or throws fails.
     *
-    * On a local master the ids are mapped in this JVM on a fixed pool of
+    * On a local master the ids are mapped in this JVM by [[forEach]] on
     * `defaultParallelism` threads, with `payload` handed over by reference:
     * a Spark job there costs about 25 ms of scheduling, more than a whole
     * batch of a few thousand RR sets. Elsewhere the batch runs [[onSpark]].
@@ -31,7 +32,7 @@ object SeededBatch {
   def run[P: ClassTag, A: ClassTag, R](spark: SparkSession, payload: P, seed: Long)(
       sample: (P, SplittableRandom) => A)(body: ((Long, Long) => Array[A]) => R): R = {
     val sc = spark.sparkContext
-    if (sc.isLocal) inProcess(sc.defaultParallelism, payload, seed)(sample)(body)
+    if (sc.isLocal) inProcess(parallelism(spark), payload, seed)(sample)(body)
     else onSpark(spark, payload, seed)(sample)(body)
   }
 
@@ -52,10 +53,11 @@ object SeededBatch {
     try body(draw) finally b.destroy()
   }
 
-  /** [[run]] on [[pool]]`(parallelism)`: each `draw` splits its ids into
-    * the [[slices]] chunks a Spark job would, and writes each result at its
-    * id. If a sample throws, the other chunks stop at their next sample and
-    * the first failing chunk's exception is rethrown once all have stopped.
+  /** [[run]] by [[forEach]]`(parallelism)`: each `draw` splits its ids
+    * into the [[slices]] chunks a Spark job would, and writes each result at
+    * its id. If a sample throws, the other chunks stop at their next sample
+    * and the first failing chunk's exception is rethrown once all have
+    * stopped.
     */
   private def inProcess[P, A: ClassTag, R](parallelism: Int, payload: P, seed: Long)(
       sample: (P, SplittableRandom) => A)(body: ((Long, Long) => Array[A]) => R): R = {
@@ -68,25 +70,42 @@ object SeededBatch {
         val out = new Array[A](count.toInt)
         val chunks = slices(count, parallelism)
         @volatile var failed = false
-        val tasks = java.util.Arrays.asList((0 until chunks).map { c =>
-          val task: Callable[Unit] = () => {
-            var j = count * c / chunks
-            val until = count * (c + 1) / chunks
-            try while (j < until && !failed) {
-              out(j.toInt) = sample(payload, new SplittableRandom(RRSets.mix(seed, offset + j)))
-              j += 1
-            } catch { case t: Throwable => failed = true; throw t }
-          }
-          task
-        }: _*)
-        pool(parallelism).invokeAll(tasks).forEach { f =>
-          try f.get() catch { case e: ExecutionException => throw e.getCause }
+        forEach(parallelism, chunks) { c =>
+          var j = count * c / chunks
+          val until = count * (c + 1) / chunks
+          try while (j < until && !failed) {
+            out(j.toInt) = sample(payload, new SplittableRandom(RRSets.mix(seed, offset + j)))
+            j += 1
+          } catch { case t: Throwable => failed = true; throw t }
         }
         out
       }
     }
     try body(draw) finally open = false
   }
+
+  /** Threads in-process work of `spark` may run on: its `defaultParallelism`
+    * on a local master; elsewhere 1, the calling thread, since a cluster's
+    * task slots are not this JVM's cores.
+    */
+  def parallelism(spark: SparkSession): Int = {
+    val sc = spark.sparkContext
+    if (sc.isLocal) sc.defaultParallelism else 1
+  }
+
+  /** Run `task(0)` to `task(count - 1)` on [[pool]]`(parallelism)`, or in
+    * order on the calling thread when `parallelism` is 1, and return once
+    * all have stopped. If tasks throw, the exception of the first failing
+    * task in task order is then rethrown as it was thrown.
+    */
+  def forEach(parallelism: Int, count: Int)(task: Int => Unit): Unit =
+    if (parallelism <= 1) (0 until count).foreach(task)
+    else {
+      val tasks = java.util.Arrays.asList((0 until count).map(c => (() => task(c)): Callable[Unit]): _*)
+      pool(parallelism).invokeAll(tasks).forEach { f =>
+        try f.get() catch { case e: ExecutionException => throw e.getCause }
+      }
+    }
 
   /** A draw returns its samples in one array, so it takes at most `Int.MaxValue` ids. */
   private def requireFits(count: Long): Unit =

@@ -26,6 +26,11 @@ object Experiments {
   /** Monte-Carlo runs per welfare estimate. */
   val mcRuns: Int = 40
 
+  /** Timed calls per cell of the runtime figures (Fig 4 and Fig 6), whose
+    * cells and gates read the median call.
+    */
+  val runtimeCalls: Int = 5
+
   /** RR-set cap for the Com-IC baselines (most of their RR sets are empty,
     * so they draw many more than IMM does). The jobs and `bench/test` use
     * the 120,000 default; the benchmark (`perfbench/run.py`) pins 20,000 to
@@ -63,41 +68,52 @@ object Experiments {
       case other => sys.error(s"unknown algorithm $other")
     })
 
-  /** `body`'s result and its wall time in ms. */
-  private def timed[A](body: => A): (A, Long) = {
-    val t0 = System.nanoTime()
-    (body, (System.nanoTime() - t0) / 1000000)
+  /** The wall times in ms of the timed calls of one allocation, in call order. */
+  final case class Millis(calls: Seq[Long]) {
+    require(calls.nonEmpty, "no timed call")
+    /** The middle call (the upper middle one of an even count). */
+    def median: Long = calls.sorted.apply(calls.length / 2)
+    /** The median, with the range of the calls when there are several. */
+    override def toString: String =
+      if (calls.length == 1) s"$median ms" else s"$median ms (${calls.min}-${calls.max})"
   }
 
   private val warmed = java.util.concurrent.ConcurrentHashMap.newKeySet[(String, String)]()
 
   /** One figure's allocation step: for each `(algo, cfg, budgets)` cell in
     * order, `use(cfg, alloc)` of its seed-7 allocation, called as soon as the
-    * allocation exists, and the allocation's wall time in ms. Allocations are
-    * made once per distinct [[allocationKey]] in this call. An algorithm's
-    * first allocation on a network in the JVM runs once untimed before it, so
-    * no cell times class loading or JIT compilation; JIT state is per JVM,
-    * and `warmed` holds only names.
+    * allocation exists, and the wall times of `calls` calls making it.
+    * Allocations are made once per distinct [[allocationKey]] in this call
+    * (`calls` times, keeping the first). An algorithm's first allocation on
+    * a network in the JVM runs once untimed before it, so no cell times
+    * class loading or JIT compilation; JIT state is per JVM, and `warmed`
+    * holds only names.
     */
-  def allocations[A](spark: SparkSession, g: SocialGraph, cells: Seq[(String, Configs.Config, Array[Int])])(
-      use: (Configs.Config, Allocation.Alloc) => A): Seq[(A, Long)] = {
-    val allocs = scala.collection.mutable.Map.empty[(String, Seq[Int], Any), (Allocation.Alloc, Long)]
+  def allocations[A](spark: SparkSession, g: SocialGraph, cells: Seq[(String, Configs.Config, Array[Int])],
+                     calls: Int = 1)(use: (Configs.Config, Allocation.Alloc) => A): Seq[(A, Millis)] = {
+    require(calls >= 1, s"need at least one timed call, got $calls")
+    val allocs = scala.collection.mutable.Map.empty[(String, Seq[Int], Any), (Allocation.Alloc, Millis)]
     cells.map { case (algo, cfg, budgets) =>
       val (alloc, millis) = allocs.getOrElseUpdate(allocationKey(algo, cfg, budgets), {
         if (!warmed.contains((algo, g.name))) { allocate(algo, spark, g, cfg, budgets); warmed.add((algo, g.name)) }
-        timed(allocate(algo, spark, g, cfg, budgets))
+        val timed = Seq.fill(calls) {
+          val t0 = System.nanoTime()
+          (allocate(algo, spark, g, cfg, budgets), (System.nanoTime() - t0) / 1000000)
+        }
+        (timed.head._1, Millis(timed.map(_._2)))
       })
       (use(cfg, alloc), millis)
     }
   }
 
   /** One figure's welfare step: each cell's welfare over `runs` worlds from
-    * seed 218 under its allocation, with that allocation's ms, from one
-    * [[allocations]] step.
+    * seed 218 under its allocation, with the ms of that allocation's one
+    * timed call, from one [[allocations]] step.
     */
   def welfare(spark: SparkSession, g: SocialGraph, cells: Seq[(String, Configs.Config, Array[Int])],
               runs: Int): Seq[(Welfare.Estimate, Long)] =
     allocations(spark, g, cells)((cfg, alloc) => Welfare.estimate(spark, g, alloc, cfg.model, runs, seed = 218))
+      .map { case (est, ms) => (est, ms.median) }
 
   /** A figure's own gates on one welfare row: its label, configuration and
     * mean welfare per algorithm.

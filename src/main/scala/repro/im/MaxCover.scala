@@ -1,5 +1,7 @@
 package repro.im
 
+import repro.exec.SeededBatch
+
 /** Greedy max-k-cover over a collection of RR sets — the `NodeSelection`
   * procedure of IMM/PRIMM. Deterministic: ties broken toward the smallest
   * node id, so repeated calls over the same RR collection agree (which the
@@ -16,45 +18,37 @@ object MaxCover {
       if (prefix <= 0) 0 else coveredAfter(math.min(prefix, seeds.length) - 1)
   }
 
-  /** Select up to `k` seeds greedily: each pick is the selectable node
-    * covering the most uncovered RR sets, ties to the smaller id.
+  /** The selection below over the RR sets `rr`, whose members lie in
+    * `[0, n)`, held in one block.
+    */
+  def nodeSelection(rr: collection.IndexedSeq[Array[Int]], k: Int, n: Int,
+                    forbidden: Set[Int] = Set.empty): CoverResult =
+    nodeSelection(RRStore.of(rr, n), k, forbidden)
+
+  /** Select up to `k` seeds greedily over the sets of `store`: each pick is
+    * the selectable node covering the most uncovered RR sets, ties to the
+    * smaller id.
     *
     * Candidates sit in a max-heap keyed by (gain, -id) whose keys may be
     * stale. A gain only ever decreases, so a top whose key is its current
     * gain is the scan's argmax; a stale top is re-keyed and sifted down.
+    * Gains start from the store's node counts, and a pick covers its sets
+    * block by block. A pick's outcome does not depend on the order in which
+    * its sets are covered, so neither does the selection on the blocks.
     *
     * @param forbidden nodes that may appear in RR sets but must never be
     *                  selected (bundle-disj "fresh seeds" support); ids
     *                  outside `[0, n)` are ignored
     */
-  def nodeSelection(rr: collection.IndexedSeq[Array[Int]], k: Int, n: Int,
-                    forbidden: Set[Int] = Set.empty): CoverResult = {
-    // inverted index: node -> ids of RR sets containing it; gain = count
-    val idxOff = new Array[Int](n + 1)
-    var s = 0
-    while (s < rr.length) {
-      val set = rr(s)
-      var j = 0
-      while (j < set.length) { idxOff(set(j) + 1) += 1; j += 1 }
-      s += 1
-    }
-    val gain = new Array[Int](n)
-    var u = 0
-    while (u < n) { gain(u) = idxOff(u + 1); idxOff(u + 1) += idxOff(u); u += 1 }
-    val idx = new Array[Int](idxOff(n))
-    val cur = java.util.Arrays.copyOf(idxOff, n)
-    s = 0
-    while (s < rr.length) {
-      val set = rr(s)
-      var j = 0
-      while (j < set.length) { val v = set(j); idx(cur(v)) = s; cur(v) += 1; j += 1 }
-      s += 1
-    }
+  def nodeSelection(store: RRStore, k: Int, forbidden: Set[Int]): CoverResult = {
+    val blocks = store.blocks
+    val n = store.n
+    val gain = store.count.clone()
     forbidden.foreach(f => if (f >= 0 && f < n) gain(f) = -1)
 
     val heap = new GainHeap(gain)
 
-    val coveredSet = new Array[Boolean](rr.length)
+    val coveredSet = new Array[Boolean](store.size)
     val seeds = new scala.collection.mutable.ArrayBuilder.ofInt
     val coveredAfter = new scala.collection.mutable.ArrayBuilder.ofInt
     var coveredCount = 0
@@ -66,18 +60,23 @@ object MaxCover {
         heap.pop()
         seeds += best
         // cover best's RR sets and decrement other members' gains
-        var e = idxOff(best)
-        val end = idxOff(best + 1)
-        while (e < end) {
-          val sid = idx(e)
-          if (!coveredSet(sid)) {
-            coveredSet(sid) = true
-            coveredCount += 1
-            val set = rr(sid)
-            var j = 0
-            while (j < set.length) { val w = set(j); if (gain(w) > 0) gain(w) -= 1; j += 1 }
+        var b = 0
+        while (b < blocks.length) {
+          val blk = blocks(b)
+          var e = blk.idxOff(best)
+          val end = blk.idxOff(best + 1)
+          while (e < end) {
+            val s = blk.idx(e)
+            if (!coveredSet(blk.base + s)) {
+              coveredSet(blk.base + s) = true
+              coveredCount += 1
+              var j = blk.off(s)
+              val until = blk.off(s + 1)
+              while (j < until) { val w = blk.members(j); if (gain(w) > 0) gain(w) -= 1; j += 1 }
+            }
+            e += 1
           }
-          e += 1
+          b += 1
         }
         gain(best) = -1
         coveredAfter += coveredCount
@@ -121,30 +120,45 @@ object MaxCover {
     }
   }
 
-  /** Entry `j` is the number of RR sets hit by the first `j+1` seeds, from
-    * one scan: a set counts from the smallest pick rank among its members.
-    * Ids outside `[0, n)` hit nothing; members of `rr` lie in `[0, n)`.
+  /** The prefix coverage below of `seeds` over the RR sets `rr`, whose
+    * members lie in `[0, n)`, held in one block.
     */
-  def prefixCoverage(rr: collection.IndexedSeq[Array[Int]], seeds: Array[Int], n: Int): Array[Int] = {
+  def prefixCoverage(rr: collection.IndexedSeq[Array[Int]], seeds: Array[Int], n: Int): Array[Int] =
+    prefixCoverage(RRStore.of(rr, n), seeds)
+
+  /** Entry `j` is the number of sets of `store` hit by the first `j+1`
+    * seeds, from one scan: a set counts from the smallest pick rank among
+    * its members. The blocks are scanned in parallel on the store's pool.
+    * Ids outside `[0, n)` hit nothing.
+    */
+  def prefixCoverage(store: RRStore, seeds: Array[Int]): Array[Int] = {
+    val blocks = store.blocks
+    val n = store.n
     val k = seeds.length
     // rank(u) = u's first pick, or k for a node no seed names
     val rank = new Array[Int](n)
     java.util.Arrays.fill(rank, k)
     var j = k - 1
     while (j >= 0) { val u = seeds(j); if (u >= 0 && u < n) rank(u) = j; j -= 1 }
-    // firstHit(j) = sets first hit by seed j; firstHit(k) = sets no seed hits
-    val firstHit = new Array[Int](k + 1)
-    var s = 0
-    while (s < rr.length) {
-      val set = rr(s)
-      var first = k
-      var i = 0
-      while (i < set.length) { val r = rank(set(i)); if (r < first) first = r; i += 1 }
-      firstHit(first) += 1
-      s += 1
+    // firstHit(b)(j) = sets of block b first hit by seed j; (b)(k) = sets no seed hits
+    val firstHit = Array.ofDim[Int](blocks.length, k + 1)
+    SeededBatch.forEach(store.parallelism, blocks.length) { b =>
+      val blk = blocks(b)
+      val hits = firstHit(b)
+      var s = 0
+      while (s < blk.length) {
+        var first = k
+        var e = blk.off(s)
+        val until = blk.off(s + 1)
+        while (e < until) { val r = rank(blk.members(e)); if (r < first) first = r; e += 1 }
+        hits(first) += 1
+        s += 1
+      }
     }
-    j = 1
-    while (j < k) { firstHit(j) += firstHit(j - 1); j += 1 }
-    java.util.Arrays.copyOf(firstHit, k)
+    val prefix = new Array[Int](k)
+    var hit = 0
+    j = 0
+    while (j < k) { firstHit.foreach(h => hit += h(j)); prefix(j) = hit; j += 1 }
+    prefix
   }
 }

@@ -140,6 +140,24 @@ class SeededBatchSpec extends AnyFunSuite with SparkSpec with PropHelpers {
     assert(RRSets.generate(spark, sampler, 40, 3L, 0).map(_.toSeq).toSeq == serialRR(sampler, 3L, 0 until 40))
   }
 
+  test("forEach rethrows the first failing task's own exception once every task has stopped") {
+    for (parallelism <- Seq(1, 4)) withClue(s"parallelism=$parallelism: ") {
+      val first = new IllegalStateException("task 1 failed")
+      val finished = new java.util.concurrent.atomic.AtomicInteger
+      val e = intercept[IllegalStateException] {
+        SeededBatch.forEach(parallelism, 6) { t =>
+          if (t == 1) throw first
+          if (t == 4) { Thread.sleep(20); throw new IllegalStateException("task 4 failed") }
+          Thread.sleep(50)
+          finished.incrementAndGet()
+        }
+      }
+      assert(e eq first)
+      // in order on the calling thread, the tasks after the failure never start
+      assert(finished.get == (if (parallelism == 1) 1 else 4))
+    }
+  }
+
   test("a draw of more ids than an array holds throws before any sample runs") {
     for ((path, onSpark) <- paths; count <- Seq(1L << 31, 1L << 32)) withClue(s"$path count=$count") {
       batch(onSpark, new FailingSampler, 1L)(_.sample(_))(draw => intercept[IllegalArgumentException](draw(0, count)))

@@ -76,7 +76,24 @@ class ExperimentsSpec extends AnyFunSuite with SparkSpec {
     val byKey = cells.zip(step.map(_._1)).groupMap { case ((a, cfg, b), _) => Experiments.allocationKey(a, cfg, b) }(_._2)
     assert(byKey.size < cells.size)
     for (allocs <- byKey.values) assert(allocs.forall(_ eq allocs.head))
-    assert(step.forall(_._2 >= 0))
+    assert(step.forall { case (_, ms) => ms.calls.length == 1 && ms.median >= 0 })
+  }
+
+  test("an allocation timed over several calls keeps the first allocation and the median of the calls") {
+    val twice = cells.take(3) ++ cells.take(3)
+    val step = Experiments.allocations(spark, g, twice, calls = 3)((_, alloc) => alloc)
+    assert(step.map(_._1) == twice.map { case (a, cfg, b) => Experiments.allocate(a, spark, g, cfg, b) })
+    assert(step.forall { case (_, ms) => ms.calls.length == 3 && ms.calls.min <= ms.median && ms.median <= ms.calls.max })
+    assert(step.drop(3).zip(step).forall { case ((a, x), (b, y)) => (a eq b) && (x eq y) })
+    intercept[IllegalArgumentException](Experiments.allocations(spark, g, cells, calls = 0)((_, _) => ()))
+  }
+
+  test("a runtime cell shows the median call and, over several calls, their range") {
+    assert(Experiments.Millis(Seq(40, 10, 30, 20, 50)).median == 30)
+    assert(Experiments.Millis(Seq(40, 10, 30, 20, 50)).toString == "30 ms (10-50)")
+    assert(Experiments.Millis(Seq(4, 1)).median == 4)
+    assert(Experiments.Millis(Seq(7)).toString == "7 ms")
+    intercept[IllegalArgumentException](Experiments.Millis(Nil))
   }
 
   test("greedyWM and item-disj share one allocation across configurations, the other algorithms one per configuration") {

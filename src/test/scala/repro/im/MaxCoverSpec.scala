@@ -188,4 +188,101 @@ class MaxCoverSpec extends AnyFunSuite {
     assertSameSelection(rr, 300, g.n, Set.empty)
     assertSameSelection(rr, 300, g.n, (0 until g.n by 7).toSet)
   }
+
+  /** `rr` in a store packed on `parallelism` threads, appended in pieces
+    * cut at random ids, with a pack after each piece at random.
+    */
+  private def cutStore(rr: IndexedSeq[Array[Int]], n: Int, parallelism: Int, rng: SplittableRandom): RRStore = {
+    val store = new RRStore(n, parallelism)
+    val cuts = (Seq(0, rr.length) ++ Seq.fill(rng.nextInt(5))(rng.nextInt(rr.length + 1))).distinct.sorted
+    cuts.zip(cuts.tail).foreach { case (a, b) =>
+      store.append(rr.slice(a, b).toArray)
+      if (rng.nextBoolean()) store.pack()
+    }
+    store
+  }
+
+  private val parallelisms = Seq(1, 2, 3, 4, 7)
+
+  /** The store's selection and prefix coverage equal the per-pick scan's
+    * and the brute-force coverage, for each pack parallelism.
+    */
+  private def assertStoreAgrees(rr: IndexedSeq[Array[Int]], n: Int, k: Int, forbidden: Set[Int],
+                                rng: SplittableRandom): Unit = {
+    val want = scanSelection(rr, k, n, forbidden)
+    val seeds = Array.fill(rng.nextInt(n + 4))(rng.nextInt(n + 6) - 3)
+    val wantPrefix = (1 to seeds.length).map(j => hits(rr, seeds.take(j).toSeq))
+    for (p <- parallelisms) {
+      val what = s"n=$n k=$k |R|=${rr.length} forbidden=$forbidden parallelism=$p"
+      val got = MaxCover.nodeSelection(cutStore(rr, n, p, rng), k, forbidden)
+      assert(got.seeds.toSeq == want.seeds.toSeq, what)
+      assert(got.coveredAfter.toSeq == want.coveredAfter.toSeq, what)
+      assert(MaxCover.prefixCoverage(cutStore(rr, n, p, rng), seeds).toSeq == wantPrefix, what)
+    }
+  }
+
+  test("the store's selection and prefix coverage equal the references for any block split and pack parallelism") {
+    val rng = new SplittableRandom(2027)
+    (0 until 120).foreach { trial =>
+      val n = 1 + rng.nextInt(30)
+      val m = if (trial % 10 == 0) 0 else rng.nextInt(60)
+      val rr = IndexedSeq.fill(m) {
+        if (rng.nextInt(6) == 0) Array.empty[Int]
+        else Array.fill(1 + rng.nextInt(math.min(n, 6)))(rng.nextInt(n)).distinct
+      }
+      val forbidden = trial % 3 match {
+        case 0 => Set.empty[Int]
+        case 1 => (0 until n).filter(_ => rng.nextInt(3) == 0).toSet + (n + rng.nextInt(5))
+        case _ => (0 until n).toSet
+      }
+      assertStoreAgrees(rr, n, rng.nextInt(n + 6), forbidden, rng)
+    }
+  }
+
+  test("packs of many sets split into blocks on the pool and agree with the references") {
+    val rng = new SplittableRandom(2028)
+    val n = 120
+    val rr = IndexedSeq.fill(30000) {
+      if (rng.nextInt(8) == 0) Array.empty[Int] else Array.fill(1 + rng.nextInt(5))(rng.nextInt(n)).distinct
+    }
+    // one pack of the whole collection makes min(parallelism, 30000 / 4096) blocks
+    for (p <- parallelisms) {
+      val store = new RRStore(n, p)
+      store.append(rr.toArray)
+      assert(store.blocks.length == math.min(p, 7))
+    }
+    assertStoreAgrees(rr, n, 40, Set.empty, rng)
+    assertStoreAgrees(rr, n, n + 3, (0 until n by 5).toSet, rng)
+  }
+
+  /** `m` sets of two nodes of `[0, 50)`; set `s` in `bad` has `bad(s)` as its second node. */
+  private def withBadMembers(m: Int, bad: Map[Int, Int]): Array[Array[Int]] =
+    Array.tabulate(m)(s => bad.get(s).fold(Array(s % 50, (s + 1) % 50))(v => Array(s % 50, v)))
+
+  test("a member outside [0, n) fails the pack with a message naming its set and node") {
+    for (p <- parallelisms; (sid, node) <- Seq(10000 -> 50, 13001 -> -1, 29999 -> Int.MaxValue))
+      withClue(s"parallelism=$p set=$sid: ") {
+        val store = new RRStore(50, p)
+        store.append(withBadMembers(10000, Map.empty))
+        store.pack()
+        store.append(withBadMembers(20000, Map(sid - 10000 -> node)))
+        val e = intercept[IllegalArgumentException](MaxCover.nodeSelection(store, 3, Set.empty[Int]))
+        assert(e.getMessage == s"RR set $sid holds node $node, outside [0, 50)")
+        // the failed pack left the store as it was
+        assert(store.size == 30000 && store.count.sum == 20000)
+      }
+    val e = intercept[IllegalArgumentException](MaxCover.nodeSelection(IndexedSeq(Array(0), Array(1, 7)), 1, 5))
+    assert(e.getMessage == "RR set 1 holds node 7, outside [0, 5)")
+  }
+
+  test("the first failing block's exception reaches the caller, and the pool still packs") {
+    // four blocks of 5,000 sets; blocks 1 and 3 fail
+    val store = new RRStore(50, 4)
+    store.append(withBadMembers(20000, Map(19000 -> 60, 6000 -> 70)))
+    val e = intercept[IllegalArgumentException](store.pack())
+    assert(e.getMessage == "RR set 6000 holds node 70, outside [0, 50)")
+    val good = new RRStore(50, 4)
+    good.append(withBadMembers(20000, Map.empty))
+    assert(good.blocks.length == 4 && good.count.sum == 40000)
+  }
 }

@@ -202,8 +202,11 @@ class PRIMMSpec extends AnyFunSuite with SparkSpec {
     val g = GraphGen.powerLawDirected("p", 400, 3000, seed = 11)
     val sampler = new ICRRSampler(g)
     def draw(i: Int): Array[Int] = sampler.sample(new SplittableRandom(RRSets.mix(3, i.toLong)))
-    val rr = ArrayBuffer.tabulate(100)(draw)
-    val selections = new PRIMM.Selections(rr, 8, g.n, Set.empty)
+    val rr = ArrayBuffer.empty[Array[Int]]
+    val store = new RRStore(g.n, 2)
+    def grow(ids: Range): Unit = { val sets = ids.map(draw).toArray; rr ++= sets; store.append(sets) }
+    grow(0 until 100)
+    val selections = new PRIMM.Selections(store, 8, Set.empty)
     def countsAllOf(sel: MaxCover.CoverResult): Unit = {
       val want = MaxCover.prefixCoverage(rr, sel.seeds, g.n)
       (1 to 8).foreach(k => assert(selections.covered(k) == want(k - 1), s"k=$k"))
@@ -211,7 +214,7 @@ class PRIMMSpec extends AnyFunSuite with SparkSpec {
 
     val first = selections.select()
     countsAllOf(first)
-    rr ++= (100 until 2000).map(draw)
+    grow(100 until 2000)
     countsAllOf(first)
     // A re-selection on the grown collection replaces the selection
     // whose coverage was just re-counted at this size.
@@ -219,12 +222,42 @@ class PRIMMSpec extends AnyFunSuite with SparkSpec {
     assert(!second.seeds.sameElements(first.seeds))
     assert((1 to 8).forall(k => second.covered(k) == selections.covered(k)))
     countsAllOf(second)
-    rr ++= (2000 until 3000).map(draw)
+    grow(2000 until 3000)
     countsAllOf(second)
     // Selections are made anew only on a grown collection.
     val third = selections.select()
     countsAllOf(third)
     assert(selections.select() eq third)
+  }
+
+  test("seeds, rrCount, sigmaHat and the rounds' RR counts do not depend on the pack parallelism") {
+    val g = GraphGen.powerLawDirected("wc", 3000, 24000, seed = 17)
+    def run(packParallelism: Int): PRIMM.Result =
+      PRIMM.run(spark, g, Seq(100, 50, 10), 0.3, 1.0, 19, None, Set.empty, Int.MaxValue, packParallelism)
+    val (one, four) = (run(1), run(4))
+    // the first round sets no bound, so its pack holds every set it drew:
+    // at least two blocks' worth, which four threads pack as several blocks
+    assert(one.rounds.head.lb.isEmpty && one.rounds.head.rrCount >= 2 * 4096, one.rounds.head)
+    assert(four.seeds.toSeq == one.seeds.toSeq)
+    assert(four.rrCount == one.rrCount)
+    assert(four.sigmaHat.toSeq == one.sigmaHat.toSeq)
+    assert(four.rounds.map(_.rrCount) == one.rounds.map(_.rrCount))
+  }
+
+  test("each round reports its targets, bound and RR count, and the last one the collection's final size") {
+    val g = detGraph
+    val res = PRIMM.run(spark, g, Seq(5, 3, 1), eps = 0.3, seed = 4)
+    val rows = res.rounds
+    assert(rows.nonEmpty)
+    assert(rows.last.rrCount == res.rrCount)
+    assert(rows.map(_.rrCount) == rows.map(_.rrCount).sorted)
+    for (r <- rows) {
+      assert(Seq(r.x, r.lambdaPrime, r.lambdaStar).forall(v => v > 0 && !v.isInfinite), r)
+      assert(r.lb.forall(_ > 0) && Seq(r.drawMs, r.packMs, r.selectMs).forall(_ >= 0), r)
+      assert(Seq(5, 3, 1).contains(r.k) && r.i >= 1, r)
+    }
+    // every budget but those the closing step falls back for sets its bound in a round
+    assert(rows.init.count(_.lb.isDefined) + rows.last.lb.size >= 1)
   }
 
   test("one run draws exactly rrCount RR sets") {
