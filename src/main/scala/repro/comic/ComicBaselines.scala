@@ -28,7 +28,9 @@ object ComicBaselines {
   private val SaltA = 13L
   private val SaltB = 17L
 
-  /** Is the edge `u -> v` of probability `p` live in hashed world `w`? */
+  /** With explicit probabilities: is the edge `u -> v` of probability `p`
+    * live in hashed world `w`?
+    */
   private[comic] def edgeLive(g: SocialGraph, w: Long, u: Int, v: Int, p: Double): Boolean =
     hash01(w, SaltEdge, u.toLong * g.n + v) < p
 
@@ -61,38 +63,64 @@ object ComicBaselines {
   private val queryMarks = ThreadLocal.withInitial[NodeMarks](() => new NodeMarks)
 
   /** The reverse BFS of both, in this thread's `marks`: from `root`,
-    * expanding node `v`, its in-edges `e` are scanned in reverse-CSR order
-    * and the tail `t` is added iff `!seen.has(t) && edgeLive(..) && through(t)`,
+    * expanding node `v`, its live in-edges `e` are taken in reverse-CSR
+    * order, and the tail `t` is added iff `!seen.has(t) && through(t)`,
     * tested in that order. Returns null once a visited node is flagged in
     * `stop`; otherwise the visited nodes, `root` first, for a walk (`stop`
     * null) and an empty array for a query. `through` may not start a search
     * in the same marks.
+    *
+    * Liveness in hashed world `w` reads nothing but `w` and the edge, so
+    * the queries and the walk of one sample see the same live edges:
+    *  - With explicit probabilities, each in-edge whose tail is not yet
+    *    visited is live iff [[edgeLive]] holds. It is keyed by `(t, v)`, so a
+    *    duplicate arc is one coin, live iff its hash lies below the larger
+    *    of its probabilities. Only tests build explicit graphs.
+    *  - Under weighted cascade the live in-edges are found by geometric skips,
+    *    as `ICRRSampler.reach` finds them (SUBSIM: Guo, Wang, Wei and Chen,
+    *    SIGMOD'20): with `wcProb(v) >= 1` every in-edge is live and nothing
+    *    is drawn; otherwise `v`'s gap `j` (from 0), the number of dead
+    *    in-edges before the next live one, is `floor(ln(1 - U) * wcSkip(v))`
+    *    for `U = hash01(w, v, -1 - j)`, whose keys no threshold hash shares.
+    *    Gaps count in-edges to visited tails, so liveness does not depend on
+    *    the search's state, and each arc is its own coin: a duplicate arc is
+    *    two, as in `ICRRSampler`. So an expanded node hashes once per live
+    *    in-edge plus once, not once per in-edge.
     */
   private def search(g: SocialGraph, w: Long, root: Int, marks: ThreadLocal[NodeMarks],
                      through: Int => Boolean, stop: Array[Boolean]): Array[Int] = {
     val seen = marks.get.acquire(g.n, "reverse search re-entered from its own predicate")
+    val wc = g.wcProb.length > 0
     try {
       seen.add(root)
       var found = stop != null && stop(root)
       var head = 0
       while (head < seen.size && !found) {
         val v = seen(head)
-        var e = g.revOff(v)
         val end = g.revOff(v + 1)
-        seen.reserve(end - e)
+        seen.reserve(end - g.revOff(v))
+        // 0 with explicit probabilities and where wcProb(v) >= 1: no skips
+        val scale = if (wc) g.wcSkip(v) else 0.0
+        var j = 0L
+        var e = g.revOff(v) + gap(w, v, j, scale)
         while (e < end && !found) {
-          val t = g.revSrc(e)
-          if (!seen.has(t) && edgeLive(g, w, t, v, g.revP(e, v)) && through(t)) {
+          val t = g.revSrc(e.toInt)
+          if (!seen.has(t) && (wc || edgeLive(g, w, t, v, g.revProb(e.toInt))) && through(t)) {
             seen.add(t)
             found = stop != null && stop(t)
           }
-          e += 1
+          j += 1
+          e += 1 + gap(w, v, j, scale)
         }
         head += 1
       }
       if (found) null else if (stop == null) seen.toArray else Array.emptyIntArray
     } finally seen.release()
   }
+
+  /** Gap `j` of node `v` in hashed world `w` at skip scale `scale`; 0 when `scale` is 0. */
+  private def gap(w: Long, v: Int, j: Long, scale: Double): Long =
+    if (scale == 0.0) 0L else math.floor(math.log(1.0 - hash01(w, v.toLong, -1L - j)) * scale).toLong
 
   /** Seed flags per node of `g`; every seed must be a node of `g`. */
   private def seedFlags(g: SocialGraph, seeds: Array[Int]): Array[Boolean] = {

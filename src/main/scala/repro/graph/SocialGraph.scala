@@ -23,8 +23,8 @@ package repro.graph
   * @param revSrc     reverse CSR sources, length `m`
   * @param revProb    explicit probability of edge `revSrc(e) -> v` (indexed like `revSrc`); empty under weighted cascade
   * @param wcProb     weighted-cascade `1 / d_in(v)` per node, length `n`; empty when probabilities are explicit
-  * @param wcSkip     `1 / ln(1 - wcProb(v))` per node where `wcProb(v) < 1`, else 0: the scale of the IC RR
-  *                   sampler's geometric skips (with one `log1p` per expanded node instead, one thread
+  * @param wcSkip     `1 / ln(1 - wcProb(v))` per node where `wcProb(v) < 1`, else 0: the scale of the IC and
+  *                   Com-IC reverse searches' geometric skips (with one `log1p` per expanded node instead, one thread
   *                   drew Douban-Movie RR sets in 0.93 us each, against 0.63 us); empty when
   *                   probabilities are explicit
   * @param undirected true when the dataset is undirected (edges stored both ways)

@@ -54,6 +54,9 @@ class ComicBaselinesSpec extends AnyFunSuite with SparkSpec with PropHelpers {
       val (qSelf, qBoost) = (q(), q())
       val boosted = Array.fill(n)(rng.nextBoolean())
       (0 until 10).foreach(_ => assertQueryMatchesSpread(g, rng.nextLong(), seeds, qSelf, qBoost, boosted(_), 13))
+      // the same arcs under weighted cascade, where a repeated arc is two coins
+      val wc = TestInputs.fromEdges(s"rand-wc-$s", n, (arcs ++ dups).map { case (u, v, _) => (u, v) })
+      (0 until 10).foreach(_ => assertQueryMatchesSpread(wc, rng.nextLong(), seeds, qSelf, qBoost, boosted(_), 13))
     }
     // the samplers' own GAPs on a power-law graph
     val seeds = (0 until g.n).sortBy(u => -TestInputs.outDeg(g, u)).take(15).toArray

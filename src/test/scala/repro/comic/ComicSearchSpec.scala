@@ -55,10 +55,10 @@ class ComicSearchSpec extends AnyFunSuite {
         val (w, root) = (i.toLong, i % g.n)
         val expected =
           if (!adopts(w)(root)) Seq.empty
-          else ReverseBfs(g, root) { (e, v) =>
-            val t = g.revSrc(e)
-            ComicBaselines.edgeLive(g, w, t, v, g.revP(e, v)) && adopts(w)(t)
-          }.toSeq
+          else {
+            val live = ComicReference.liveArcs(g, w)
+            ReverseBfs(g, root)((e, v) => live(e, v) && adopts(w)(g.revSrc(e))).toSeq
+          }
         assert(walk(g, i) == expected, s"${g.name}: walk $i")
         expected
       }

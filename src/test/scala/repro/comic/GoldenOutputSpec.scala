@@ -61,13 +61,13 @@ class GoldenOutputSpec extends AnyFunSuite {
         draws(new ComicBaselines.RRCimSampler(g, seeds, gap), 29))
     }
     for ((cfg, sim, cim) <- Seq(
-           (Configs.config1, "8dcd2ef5359b2bd8", "d59330d739da0b7a"),
-           (Configs.config3, "0c11be516f0cf282", "f17bdcabce616363"))) {
+           (Configs.config1, "3efe6633906bcc87", "25ba6233faa3f510"),
+           (Configs.config3, "3214a443575b4399", "5b6dc4015177344f"))) {
       assert(samples(undirected, hubs(undirected, 20), cfg.gap) == ((sim, cim)), s"undirected, config ${cfg.no}")
     }
     for ((cfg, sim, cim) <- Seq(
-           (Configs.config1, "76055a42f5e775df", "1131b956fa726512"),
-           (Configs.config3, "d07ea4ce700954d4", "35f2ed7a23d374ee"))) {
+           (Configs.config1, "914418f89c9f84d9", "dfdba0c1840a786f"),
+           (Configs.config3, "986900c0177e717a", "5810c966e583ae0a"))) {
       assert(samples(directed, hubs(directed, 20), cfg.gap) == ((sim, cim)), s"directed, config ${cfg.no}")
     }
     // Arc 2 -> 3 appears twice at different probabilities; seeds 0 and 6.
@@ -99,7 +99,7 @@ class GoldenOutputSpec extends AnyFunSuite {
           u => RRSets.hash01(w.toLong, u.toLong, 19) < 0.8))
       }
     }
-    assert(h == "5dd0f223a75f62ac")
+    assert(h == "b14616cbed66aa80")
   }
 
   test("EPIC diffusion under configs 7 and 10, live and hashed edge worlds") {

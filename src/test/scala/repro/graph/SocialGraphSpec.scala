@@ -6,10 +6,9 @@ import org.scalatest.funsuite.AnyFunSuite
 
 import repro.{ExactWorlds, Golden, TestInputs}
 import repro.TestInputs.{inDeg, outDeg}
-import repro.comic.ComicBaselines.{RRCimSampler, RRSimSampler}
 import repro.core.Configs
 import repro.epic.EpicSimulator
-import repro.im.{RRSampler, RRSets}
+import repro.im.RRSets
 
 class SocialGraphSpec extends AnyFunSuite {
 
@@ -66,16 +65,10 @@ class SocialGraphSpec extends AnyFunSuite {
       val ex = SocialGraph.fromArcs(gen.name, gen.n, src, dst, Some(dst.map(v => 1.0 / inDeg(gen, v))), gen.undirected)
       assert(wc.fwdProb.isEmpty && ex.fwdProb.length == dst.length)
 
+      // The RR samplers skip to live arcs under weighted cascade and flip a
+      // coin per arc otherwise, so their sets are checked against exact
+      // worlds instead (below, and ComicExactSpec).
       val hubs = Golden.hubs(gen, 10)
-      val gap = Configs.config1.gap
-      def samples(s: RRSampler): Seq[Seq[Int]] =
-        (0 until 400).map(i => s.sample(new SplittableRandom(RRSets.mix(31, i.toLong))).toSeq)
-      for (sampler <- Seq[SocialGraph => RRSampler](new RRSimSampler(_, hubs, gap), new RRCimSampler(_, hubs, gap))) {
-        val drawn = samples(sampler(wc))
-        assert(drawn == samples(sampler(ex)))
-        assert(drawn.exists(_.length > 1), gen.name)
-      }
-
       val alloc = hubs.zipWithIndex.map { case (v, i) => v -> (1 + i % 3) }.toMap
       def worlds(h: SocialGraph): Seq[Seq[Int]] = (0 until 40).map { i =>
         val rng = new SplittableRandom(RRSets.mix(37, i.toLong))
